@@ -6,7 +6,7 @@ import pathlib
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
 
-def run_once(benchmark, fn, *args, name: str | None = None, **kwargs):
+def run_once(benchmark, fn, *args, name: str, **kwargs):
     """Run ``fn`` exactly once under the benchmark timer.
 
     The resulting table is printed (visible with ``pytest -s``) and
@@ -19,6 +19,6 @@ def run_once(benchmark, fn, *args, name: str | None = None, **kwargs):
         print()
         print(text)
         RESULTS_DIR.mkdir(exist_ok=True)
-        out = RESULTS_DIR / f"{name or fn.__module__.split('.')[-1]}.txt"
+        out = RESULTS_DIR / f"{name}.txt"
         out.write_text(text + "\n")
     return result

@@ -12,12 +12,15 @@ Codebook modes:
                    (the online summarization of Sections 3, Tables 5/6);
   * ``per_t``   -- a fresh error-bounded codebook per timestamp
                    (Table 2's "learn C independently for every timestamp");
-  * ``fixed``   -- a fresh fixed-size k-means codebook per timestamp
-                   (Table 4's 5-9 bit budgets). No error bound.
+  * ``fixed``   -- a fresh fixed-size codebook per timestamp, sized by
+                   the ``budget`` passed to ``step`` (Table 4's 5-9 bit
+                   budgets). No error bound. With prediction it is
+                   k-means; without (Q-trajectory) it is the single-pass
+                   online quantizer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +54,6 @@ class EPQEngine:
         predict_enabled: bool = True,
         history: History | None = None,
         codebook_mode: str = "global",
-        fixed_codewords: int | None = None,
-        quantizer_style: str = "kmeans",
     ):
         if codebook_mode not in ("global", "per_t", "fixed"):
             raise ValueError(f"unknown codebook_mode {codebook_mode!r}")
@@ -62,14 +63,9 @@ class EPQEngine:
         self.predict_enabled = predict_enabled
         self.history = history if history is not None else History(k)
         self.codebook_mode = codebook_mode
-        self.fixed_codewords = fixed_codewords
-        if quantizer_style not in ("kmeans", "online"):
-            raise ValueError(f"unknown quantizer_style {quantizer_style!r}")
-        self.quantizer_style = quantizer_style
         self.quantizer = IncrementalQuantizer(eps1, seed=seed)
         self.coeffs: dict[int, np.ndarray] = {}
         self.codebooks_t: dict[int, np.ndarray] = {}  # per_t / fixed modes
-        self.codebook_size_t: dict[int, int] = {}
 
     def step(
         self, t: int, ids: np.ndarray, pts: np.ndarray, *, budget: int | None = None
@@ -102,7 +98,6 @@ class EPQEngine:
         if self.codebook_mode == "global":
             codes = self.quantizer.quantize(errs)
             recon = pred + self.quantizer.reconstruct(codes)
-            self.codebook_size_t[t] = len(self.quantizer)
             cb_t = None
         elif self.codebook_mode == "per_t":
             q = IncrementalQuantizer(self.eps1, seed=self.seed + t)
@@ -110,33 +105,17 @@ class EPQEngine:
             recon = pred + q.reconstruct(codes)
             cb_t = q.codebook
             self.codebooks_t[t] = cb_t
-            self.codebook_size_t[t] = len(q)
         else:  # fixed
-            v = budget if budget is not None else self.fixed_codewords
-            if v is None:
+            if budget is None:
                 raise ValueError("fixed mode needs a codeword budget")
-            cls = (
-                OnlineBudgetQuantizer
-                if self.quantizer_style == "online"
-                else FixedQuantizer
-            )
-            q = cls(max(1, v), seed=self.seed + t)
+            # Without prediction this is Q-trajectory, an online quantizer
+            # that cannot iterate over the data: single-pass codebook.
+            cls = FixedQuantizer if self.predict_enabled else OnlineBudgetQuantizer
+            q = cls(max(1, budget), seed=self.seed + t)
             codes = q.fit_quantize(errs)
             recon = pred + q.reconstruct(codes)
             cb_t = q.codebook
             self.codebooks_t[t] = cb_t
-            self.codebook_size_t[t] = len(cb_t)
 
         self.history.push(ids, recon)
         return StepResult(codes=codes, recon=recon, pred=pred, codebook_t=cb_t)
-
-    @property
-    def n_codewords(self) -> int:
-        """Total codewords produced by this engine."""
-        if self.codebook_mode == "global":
-            return len(self.quantizer)
-        return int(sum(len(cb) for cb in self.codebooks_t.values()))
-
-    def codebook_bits(self, *, bits_per_value: int = 32) -> int:
-        """Storage of the codebook(s): 2 floats per codeword."""
-        return self.n_codewords * 2 * bits_per_value

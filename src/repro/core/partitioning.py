@@ -22,6 +22,9 @@ import numpy as np
 
 from repro.core.kmeans import grow_partition, max_dist_to_centroid
 
+AR_WINDOW = 16
+"""Points of recent raw history an AR(k) feature is fitted over."""
+
 
 def ar_features(
     raw_hist: np.ndarray, k: int, *, ridge: float = 1e-10
@@ -86,9 +89,6 @@ class IncrementalPartitioner:
     def q(self) -> int:
         """Current number of live partitions."""
         return len(self._centroids)
-
-    def centroid(self, pid: int) -> np.ndarray:
-        return self._centroids[pid]
 
     def update(self, ids: np.ndarray, feats: np.ndarray) -> tuple[np.ndarray, UpdateStats]:
         """Assign the points active now; returns (pids per point, stats)."""

@@ -19,6 +19,15 @@ Variants of the paper map to arguments:
   E-PQ               mode=None (single partition), use_cqc=False
   Q-trajectory       mode=None, predict=False, use_cqc=False
   =================  ==========================================
+
+Each variant runs in one of three codebook modes (``repro.core.epq``):
+
+  =================  ==========================================
+  online (default)   codebook_mode='global'
+  per timestamp      codebook_mode='per_t'
+  fixed budget       codebook_mode='fixed', budget=2**bits (Table 4)
+                     or budget={t: n} (Table 2)
+  =================  ==========================================
 """
 from __future__ import annotations
 
@@ -32,12 +41,16 @@ import pandas as pd
 from repro import DEG_TO_M
 from repro.core.cqc import CQCCoder
 from repro.core.epq import EPQEngine
-from repro.core.partitioning import IncrementalPartitioner, UpdateStats, ar_features
+from repro.core.partitioning import (
+    AR_WINDOW,
+    IncrementalPartitioner,
+    UpdateStats,
+    ar_features,
+)
 from repro.core.predictor import DEFAULT_K, History
 
-CODED_COLUMNS = [
-    "traj_id", "t", "x", "y", "pid", "code", "xhat", "yhat", "xrec", "yrec", "cqc",
-]
+AR_EMA = 0.3
+"""Weight of the newest AR(k) fit in PPQ-A's smoothed partition features."""
 
 
 @dataclass
@@ -150,23 +163,21 @@ def run_ppq(
     k: int = DEFAULT_K,
     seed: int = 0,
     codebook_mode: str = "global",
-    fixed_bits: int | None = None,
-    budget_t: dict[int, int] | None = None,
-    quantizer_style: str = "kmeans",
-    ar_window: int = 16,
-    ar_ema: float = 0.3,
+    budget: int | dict[int, int] | None = None,
 ) -> Summary:
     """Build the PPQ-trajectory summary over ``points`` (traj_id, t, x, y).
 
     ``mode`` is 'A' (autocorrelation partitions), 'S' (spatial) or None
-    (single partition). ``fixed_bits`` (with codebook_mode='fixed') gives
-    every timestamp a total budget of 2**fixed_bits codewords, split
-    across partitions proportionally to their sizes (Table 4's setup).
-    ``budget_t`` overrides the per-timestamp budget explicitly (Table 2's
-    "same number of codewords at the same time across all methods").
+    (single partition). ``budget`` is required by, and only allowed with,
+    codebook_mode='fixed': an int gives every timestamp that many
+    codewords (Table 4 passes 2**bits), a ``{t: n}`` dict gives each
+    timestamp its own count (Table 2's "same number of codewords at the
+    same time across all methods"). Either way a timestamp's budget is
+    split across partitions proportionally to their sizes.
     """
     if mode not in ("A", "S", None):
         raise ValueError(f"unknown mode {mode!r}")
+    _validate(points, codebook_mode, budget)
     t_start = time.perf_counter()
     gs = gs if gs is not None else eps1 * 0.45
     cqc = CQCCoder(eps1, gs) if use_cqc else None
@@ -182,7 +193,6 @@ def run_ppq(
     part_stats: list[UpdateStats] = []
 
     out_rows: list[pd.DataFrame] = []
-    budget_total = (2**fixed_bits) if fixed_bits is not None else None
 
     for t, batch in pts_sorted.groupby("t", sort=True):
         ids = batch.traj_id.to_numpy()
@@ -201,7 +211,7 @@ def run_ppq(
                     np.asarray(raw_hist.get(int(i), [])).reshape(-1, 2), k
                 )
                 prev = ar_ema_state.get(int(i))
-                sm = a if prev is None else (1 - ar_ema) * prev + ar_ema * a
+                sm = a if prev is None else (1 - AR_EMA) * prev + AR_EMA * a
                 ar_ema_state[int(i)] = sm
                 feats[row] = sm
         else:
@@ -237,7 +247,7 @@ def run_ppq(
         codes = np.empty(len(ids), dtype=np.int64)
         recon = np.empty((len(ids), 2))
         uniq, counts = np.unique(pids, return_counts=True)
-        bt = budget_t.get(int(t)) if budget_t is not None else budget_total
+        bt = budget.get(int(t)) if isinstance(budget, dict) else budget
         budgets = _split_budget(bt, uniq, counts)
         for pid in uniq:
             engine = engines.get(int(pid))
@@ -249,7 +259,6 @@ def run_ppq(
                     predict_enabled=predict,
                     history=shared_history,
                     codebook_mode=codebook_mode,
-                    quantizer_style=quantizer_style,
                 )
                 engines[int(pid)] = engine
             m = pids == pid
@@ -286,7 +295,7 @@ def run_ppq(
             for i, p in zip(ids, xy):
                 h = raw_hist.setdefault(int(i), [])
                 h.append(p)
-                if len(h) > ar_window:
+                if len(h) > AR_WINDOW:
                     del h[0]
 
     coded = pd.concat(out_rows, ignore_index=True)
@@ -328,11 +337,35 @@ def run_ppq(
             "gs": gs,
             "k": k,
             "codebook_mode": codebook_mode,
-            "fixed_bits": fixed_bits,
+            "budget": budget,
         },
         build_seconds=time.perf_counter() - t_start,
         partition_stats=part_stats,
     )
+
+
+def _validate(
+    points: pd.DataFrame, codebook_mode: str, budget: int | dict | None
+) -> None:
+    """Reject inputs the build would fail on or silently mis-handle."""
+    if len(points) == 0:
+        raise ValueError("empty input: run_ppq needs at least one point")
+    xy = points[["x", "y"]].to_numpy(dtype=np.float64)
+    bad = ~np.isfinite(xy).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"non-finite x/y in {int(bad.sum())} rows "
+            "(one NaN would poison the shared coefficient fit)"
+        )
+    dup = points.duplicated(["traj_id", "t"])
+    if dup.any():
+        raise ValueError(f"duplicate (traj_id, t) in {int(dup.sum())} rows")
+    if codebook_mode == "fixed" and budget is None:
+        raise ValueError("codebook_mode='fixed' needs a budget")
+    if codebook_mode != "fixed" and budget is not None:
+        raise ValueError(
+            f"budget is only used with codebook_mode='fixed', not {codebook_mode!r}"
+        )
 
 
 def _apply_code_remap(coded: pd.DataFrame, remap: dict[int, tuple[int, int]]) -> None:

@@ -200,8 +200,6 @@ def build_per_t_suite(
         )
         out[m] = _from_summary(m, s, cfg)
     if "Q-trajectory" in methods:
-        # Q-trajectory is the *online* quantizer without prediction: under a
-        # budget it cannot iterate, hence the single-pass quantizer style.
         s = run_ppq(
             points,
             **_ppq_kwargs("Q-trajectory", ds),
@@ -209,8 +207,7 @@ def build_per_t_suite(
             gs=cfg.gs,
             seed=cfg.seed,
             codebook_mode="fixed",
-            budget_t=v_t,
-            quantizer_style="online",
+            budget=v_t,
         )
         out["Q-trajectory"] = _from_summary("Q-trajectory", s, cfg)
     if "Residual Quantization" in methods:
@@ -258,8 +255,7 @@ def build_fixed_bits_suite(
             gs=cfg.gs,
             seed=cfg.seed,
             codebook_mode="fixed",
-            fixed_bits=bits,
-            quantizer_style="online" if m == "Q-trajectory" else "kmeans",
+            budget=v,
         )
         out[m] = _from_summary(m, s, cfg)
     if "Residual Quantization" in methods:
@@ -358,17 +354,3 @@ def _rq_eps_fit(xy: np.ndarray, eps_deg: float, seed: int):
 def _pq_eps_fit(xy: np.ndarray, eps_deg: float, seed: int):
     r = product_quantize(xy, eps=eps_deg, seed=seed)
     return r.recon, r.n_codewords, r.code_bits_per_point
-
-
-def _batch_baseline(points: pd.DataFrame, fit):
-    """Whole-dataset batch quantization (Tables 5/6 RQ/PQ mode)."""
-    start = time.perf_counter()
-    srt = points.sort_values(["t", "traj_id"], kind="mergesort")
-    xy = srt[["x", "y"]].to_numpy(dtype=np.float64)
-    r = fit(xy)
-    secs = time.perf_counter() - start
-    recon = srt[["traj_id", "t", "x", "y"]].copy()
-    recon["xrec"] = r.recon[:, 0]
-    recon["yrec"] = r.recon[:, 1]
-    bits = r.n_codewords * 2 * 32 + r.code_bits_per_point * len(xy)
-    return recon.reset_index(drop=True), r.n_codewords, secs, bits

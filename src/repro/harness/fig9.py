@@ -14,23 +14,16 @@ import pandas as pd
 
 from repro import DEG_TO_M
 from repro.baselines.rest import ReferenceSet, rest_compress
-from repro.harness.common import ALL_METHODS, build_bounded_suite
+from repro.harness.common import build_bounded_suite
 from repro.harness.config import DatasetCfg, ExpConfig
-from repro.harness.sweep import DEVIATIONS_M, bounded_sweep
+from repro.harness.sweep import DEVIATIONS_M, sweep_rows
 from repro.trajgen import sub_porto
 
 
 def run(cfg: ExpConfig, *, deviations=DEVIATIONS_M) -> pd.DataFrame:
-    sweep = bounded_sweep(cfg, tuple(deviations))
-    rows = []
-    for ds in cfg.datasets:
-        for name in ALL_METHODS:
-            row = {"panel": ds.name, "method": name}
-            for dev in deviations:
-                row[f"{int(dev)}m"] = round(
-                    sweep[(ds.name, dev)][name].compression_ratio(), 2
-                )
-            rows.append(row)
+    rows = sweep_rows(
+        cfg, deviations, "panel", lambda mr: round(mr.compression_ratio(), 2)
+    )
     rows.extend(run_sub_porto(cfg, deviations=deviations).to_dict("records"))
     return pd.DataFrame(rows)
 

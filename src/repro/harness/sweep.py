@@ -2,11 +2,13 @@
 
 Building every method's error-bounded summary at five deviations is the
 expensive part of the evaluation; Tables 5 (time), 6 (codewords) and the
-Fig.-9 compression-ratio harness all read from one sweep.
+Fig.-9 compression-ratio harness all read from one sweep, each turning
+it into rows with :func:`sweep_rows`.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 from repro.harness.common import ALL_METHODS, MethodResult, build_bounded_suite
 from repro.harness.config import ExpConfig
@@ -27,3 +29,23 @@ def bounded_sweep(
                 points, cfg, ds, dev, methods=ALL_METHODS
             )
     return out
+
+
+def sweep_rows(
+    cfg: ExpConfig,
+    deviations,
+    key: str,
+    value: Callable[[MethodResult], object],
+) -> list[dict]:
+    """One row per (dataset, method) -- the dataset name under ``key`` --
+    with ``value(result)`` in one column per deviation."""
+    sweep = bounded_sweep(cfg, tuple(deviations))
+    return [
+        {
+            key: ds.name,
+            "method": name,
+            **{f"{int(dev)}m": value(sweep[(ds.name, dev)][name]) for dev in deviations},
+        }
+        for ds in cfg.datasets
+        for name in ALL_METHODS
+    ]

@@ -3,18 +3,9 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.harness.common import ALL_METHODS
 from repro.harness.config import ExpConfig
-from repro.harness.sweep import DEVIATIONS_M, bounded_sweep
+from repro.harness.sweep import DEVIATIONS_M, sweep_rows
 
 
 def run(cfg: ExpConfig, *, deviations=DEVIATIONS_M) -> pd.DataFrame:
-    sweep = bounded_sweep(cfg, tuple(deviations))
-    rows = []
-    for ds in cfg.datasets:
-        for name in ALL_METHODS:
-            row = {"dataset": ds.name, "method": name}
-            for dev in deviations:
-                row[f"{int(dev)}m"] = sweep[(ds.name, dev)][name].n_codewords
-            rows.append(row)
-    return pd.DataFrame(rows)
+    return pd.DataFrame(sweep_rows(cfg, deviations, "dataset", lambda mr: mr.n_codewords))

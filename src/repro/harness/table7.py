@@ -17,15 +17,21 @@ EPS_C_VALUES = (0.2, 0.4, 0.6, 0.8)
 
 
 def run(cfg: ExpConfig, *, eps_c_values=EPS_C_VALUES) -> pd.DataFrame:
+    return tpi_sweep(cfg, "eps_c", eps_c_values)
+
+
+def tpi_sweep(cfg: ExpConfig, param: str, values) -> pd.DataFrame:
+    """One row per value of ``param`` ('eps_c' or 'eps_d'; the other
+    threshold keeps its config value) with each dataset's TPI stats."""
     rows = []
     points = {ds.name: ds.load() for ds in cfg.datasets}
-    for eps_c in eps_c_values:
-        row = {"eps_c": eps_c}
+    for value in values:
+        row = {param: value}
+        thresholds = {"eps_c": cfg.eps_c, "eps_d": cfg.eps_d, param: value}
         for ds in cfg.datasets:
             tpi = build_tpi_from_points(
                 points[ds.name],
-                eps_d=cfg.eps_d,
-                eps_c=eps_c,
+                **thresholds,
                 eps_s=cfg.eps_s,
                 gc=cfg.gc,
                 seed=cfg.seed,

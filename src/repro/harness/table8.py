@@ -9,28 +9,10 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.harness.config import ExpConfig
-from repro.index.tpi import build_tpi_from_points
+from repro.harness.table7 import tpi_sweep
 
 EPS_D_VALUES = (0.2, 0.4, 0.6, 0.8)
 
 
 def run(cfg: ExpConfig, *, eps_d_values=EPS_D_VALUES) -> pd.DataFrame:
-    rows = []
-    points = {ds.name: ds.load() for ds in cfg.datasets}
-    for eps_d in eps_d_values:
-        row = {"eps_d": eps_d}
-        for ds in cfg.datasets:
-            tpi = build_tpi_from_points(
-                points[ds.name],
-                eps_d=eps_d,
-                eps_c=cfg.eps_c,
-                eps_s=cfg.eps_s,
-                gc=cfg.gc,
-                seed=cfg.seed,
-            )
-            row[f"size_mb_{ds.name}"] = round(tpi.size_mb(), 4)
-            row[f"time_s_{ds.name}"] = round(tpi.build_seconds, 3)
-            row[f"periods_{ds.name}"] = tpi.n_periods
-            row[f"insertions_{ds.name}"] = tpi.n_insertions
-        rows.append(row)
-    return pd.DataFrame(rows)
+    return tpi_sweep(cfg, "eps_d", eps_d_values)

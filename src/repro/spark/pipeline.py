@@ -24,7 +24,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.kmeans import grow_partition
-from repro.core.partitioning import ar_features
+from repro.core.partitioning import AR_WINDOW, ar_features
 from repro.core.ppq import run_ppq
 
 CODED_SCHEMA = (
@@ -34,9 +34,7 @@ CODED_SCHEMA = (
 _WIDE_SCHEMA = "kind int, " + CODED_SCHEMA
 
 
-def trajectory_features(
-    df: DataFrame, *, mode: str, k: int = 2, ar_window: int = 16
-) -> DataFrame:
+def trajectory_features(df: DataFrame, *, mode: str, k: int = 2) -> DataFrame:
     """Per-trajectory feature rows: (traj_id, f0, f1 [, ...fk-1])."""
     if mode == "S":
 
@@ -50,7 +48,7 @@ def trajectory_features(
     elif mode == "A":
 
         def feat(pdf: pd.DataFrame) -> pd.DataFrame:
-            pdf = pdf.sort_values("t").head(ar_window)
+            pdf = pdf.sort_values("t").head(AR_WINDOW)
             a = ar_features(pdf[["x", "y"]].to_numpy(), k)
             row = {"traj_id": [int(pdf.traj_id.iloc[0])]}
             for j in range(k):

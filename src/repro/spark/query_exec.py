@@ -62,26 +62,3 @@ def tpq_spark(
         .select("traj_id", "t", F.col("xrec").alias("px"), F.col("yrec").alias("py"))
         .orderBy("traj_id", "t")
     )
-
-
-def reconstruct_from_parts(
-    coded: DataFrame, codebooks: DataFrame, coeffs_missing_ok: bool = True
-) -> DataFrame:
-    """Recompute the codebook reconstruction from stored parts:
-    xhat' = (xhat - codeword) + codeword -- i.e. join coded points with
-    their codebook rows and verify the stored reconstruction equals
-    prediction + codeword. Returns rows with the recomputed columns so
-    tests can assert the summary is self-describing."""
-    joined = coded.join(codebooks, on=["pid", "code"], how="left")
-    return joined.select(
-        "traj_id",
-        "t",
-        "x",
-        "y",
-        "xhat",
-        "yhat",
-        (F.col("xhat") - F.col("cx")).alias("pred_x"),
-        (F.col("yhat") - F.col("cy")).alias("pred_y"),
-        "cx",
-        "cy",
-    )

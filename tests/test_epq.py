@@ -88,9 +88,9 @@ class TestEPQEngine:
         ids = np.arange(8)
         g = np.random.default_rng(6)
         for t in (1, 2):
-            eng.step(t, ids, g.random((8, 2)))
+            res = eng.step(t, ids, g.random((8, 2)))
+            assert eng.codebooks_t[t] is res.codebook_t
         assert set(eng.codebooks_t) == {1, 2}
-        assert eng.n_codewords == sum(len(cb) for cb in eng.codebooks_t.values())
 
     def test_per_t_error_bound(self):
         eng = EPQEngine(0.05, k=2, seed=0, codebook_mode="per_t")
@@ -103,16 +103,19 @@ class TestEPQEngine:
             assert err.max() <= 0.05 + 1e-12
 
     def test_fixed_mode_budget(self):
-        eng = EPQEngine(0.05, k=2, seed=0, codebook_mode="fixed", fixed_codewords=4)
+        eng = EPQEngine(0.05, k=2, seed=0, codebook_mode="fixed")
         ids = np.arange(30)
-        res = eng.step(1, ids, np.random.default_rng(8).random((30, 2)))
+        res = eng.step(1, ids, np.random.default_rng(8).random((30, 2)), budget=4)
         assert len(res.codebook_t) == 4
 
     def test_fixed_mode_budget_override(self):
-        eng = EPQEngine(0.05, k=2, seed=0, codebook_mode="fixed", fixed_codewords=4)
+        """Each step's budget sizes that step's codebook."""
+        eng = EPQEngine(0.05, k=2, seed=0, codebook_mode="fixed")
         ids = np.arange(30)
-        res = eng.step(1, ids, np.random.default_rng(9).random((30, 2)), budget=7)
-        assert len(res.codebook_t) == 7
+        g = np.random.default_rng(9)
+        for t, v in ((1, 4), (2, 7)):
+            res = eng.step(t, ids, g.random((30, 2)), budget=v)
+            assert len(res.codebook_t) == v
 
     def test_fixed_mode_without_budget_raises(self):
         eng = EPQEngine(0.05, codebook_mode="fixed")
@@ -123,18 +126,16 @@ class TestEPQEngine:
         with pytest.raises(ValueError):
             EPQEngine(0.1, codebook_mode="nope")
 
-    def test_bad_quantizer_style_rejected(self):
-        with pytest.raises(ValueError):
-            EPQEngine(0.1, quantizer_style="nope")
-
     def test_online_style_fixed_mode(self):
-        eng = EPQEngine(
-            0.05, seed=0, codebook_mode="fixed", fixed_codewords=8,
-            quantizer_style="online", predict_enabled=False,
-        )
+        """Without prediction (Q-trajectory) the budgeted codebook is the
+        single-pass k-center one: every codeword is one of the batch's
+        error vectors, here the raw points themselves."""
+        eng = EPQEngine(0.05, seed=0, codebook_mode="fixed", predict_enabled=False)
         ids = np.arange(40)
-        res = eng.step(1, ids, np.random.default_rng(10).random((40, 2)))
+        pts = np.random.default_rng(10).random((40, 2))
+        res = eng.step(1, ids, pts, budget=8)
         assert len(res.codebook_t) == 8
+        assert (res.codebook_t[:, None, :] == pts[None, :, :]).all(axis=2).any(axis=1).all()
 
     def test_variable_membership(self):
         """Trajectories may appear/disappear across timesteps."""
@@ -144,8 +145,3 @@ class TestEPQEngine:
         eng.step(2, np.array([2, 3]), g.random((2, 2)))
         res = eng.step(3, np.array([1, 2, 4]), g.random((3, 2)))
         assert len(res.codes) == 3
-
-    def test_codebook_bits_accounting(self):
-        eng = EPQEngine(0.05, k=2, seed=0)
-        eng.step(1, np.arange(10), np.random.default_rng(12).random((10, 2)))
-        assert eng.codebook_bits() == len(eng.quantizer) * 64

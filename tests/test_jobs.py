@@ -1,23 +1,39 @@
-"""Sanity tests for the spark-submit job entrypoints (they must at least
-parse and wire up the right harness; full runs happen via spark-submit)."""
+"""Sanity tests for the spark-submit job entrypoints and the table
+benchmark (they must parse and reach every registered table; full runs
+happen via spark-submit and pytest-benchmark)."""
 import ast
+import importlib.util
 import pathlib
 
 import pytest
 
+from repro.harness import TABLES
+
 JOBS = pathlib.Path(__file__).resolve().parent.parent / "jobs"
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
-def test_table_job_references_its_harness(n):
-    src = (JOBS / f"table{n}.py").read_text()
-    tree = ast.parse(src)  # valid python
-    assert f"table{n}" in src
-    assert "run_table" in src
+@pytest.fixture(scope="module")
+def run_table_job():
+    spec = importlib.util.spec_from_file_location("run_table", JOBS / "run_table.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
-def test_fig9_job_parses():
-    ast.parse((JOBS / "fig9.py").read_text())
+def _benchmarked_tables():
+    from benchmarks import bench_tables
+
+    (mark,) = [m for m in bench_tables.test_table.pytestmark if m.name == "parametrize"]
+    return mark.args[1]
+
+
+@pytest.mark.parametrize("n", [name.removeprefix("table") for name in TABLES])
+def test_table_job_references_its_harness(n, run_table_job):
+    """``--table n`` reaches the registered harness, and the benchmark
+    runs it."""
+    name = run_table_job.CHOICES[n]
+    assert TABLES[name].__module__ == f"repro.harness.{name}"
+    assert name in _benchmarked_tables()
 
 
 def test_distributed_build_job_parses():
@@ -28,8 +44,9 @@ def test_distributed_build_job_parses():
     assert "strq_spark" in src
 
 
-def test_runner_parses():
-    ast.parse((JOBS / "_runner.py").read_text())
+def test_runner_parses(run_table_job):
+    ast.parse((JOBS / "run_table.py").read_text())
+    assert sorted(run_table_job.CHOICES.values()) == sorted(TABLES)
 
 
 def test_all_jobs_have_docstrings():

@@ -108,23 +108,18 @@ class TestModes:
         assert len(s.codebooks) == 0
         assert s.errors_m().max() <= 0.001 * DEG_TO_M + 1e-6
 
-    def test_fixed_bits_budget_respected(self, porto_pts):
+    @pytest.mark.parametrize("per_t", [False, True], ids=["int", "dict"])
+    def test_fixed_budget_respected(self, porto_pts, per_t):
+        """An int budget is codewords per timestamp (Table 4 passes
+        2**bits); a {t: n} dict sets each timestamp's (Table 2)."""
+        cap = 3 if per_t else 16
+        budget = {int(t): cap for t in porto_pts.t.unique()} if per_t else cap
         s = run_ppq(
             porto_pts, mode=None, use_cqc=False, eps1=0.001,
-            codebook_mode="fixed", fixed_bits=4,
+            codebook_mode="fixed", budget=budget,
         )
         for (_pid, t), cb in s.codebooks_t.items():
-            assert len(cb) <= 16
-
-    def test_budget_t_override(self, porto_pts):
-        ts = sorted(porto_pts.t.unique())
-        budget = {int(t): 3 for t in ts}
-        s = run_ppq(
-            porto_pts, mode=None, use_cqc=False, eps1=0.001,
-            codebook_mode="fixed", budget_t=budget,
-        )
-        for (_pid, t), cb in s.codebooks_t.items():
-            assert len(cb) <= 3
+            assert len(cb) <= cap
 
     def test_partition_stats_collected(self, ppqa_summary, porto_pts):
         assert len(ppqa_summary.partition_stats) == porto_pts.t.nunique()
@@ -135,6 +130,34 @@ class TestModes:
         early_growth = qs[len(qs) // 2] - qs[0]
         late_growth = qs[-1] - qs[len(qs) // 2]
         assert late_growth <= max(2, early_growth)
+
+
+class TestInputValidation:
+    """run_ppq rejects, with a ValueError naming the case, inputs it would
+    otherwise fail on deep inside the build or mis-handle silently."""
+
+    def test_empty_frame_rejected(self, porto_pts):
+        with pytest.raises(ValueError, match="empty input"):
+            run_ppq(porto_pts.iloc[:0])
+
+    def test_non_finite_xy_rejected(self, porto_pts):
+        pts = porto_pts.copy()
+        pts.loc[pts.index[5], "x"] = np.nan
+        with pytest.raises(ValueError, match="non-finite x/y in 1 rows"):
+            run_ppq(pts, mode="S", eps_p=0.02)
+
+    def test_duplicate_rows_rejected(self, porto_pts):
+        pts = pd.concat([porto_pts, porto_pts.iloc[:2]], ignore_index=True)
+        with pytest.raises(ValueError, match=r"duplicate \(traj_id, t\) in 2 rows"):
+            run_ppq(pts, mode="S", eps_p=0.02)
+
+    def test_budget_without_fixed_rejected(self, porto_pts):
+        with pytest.raises(ValueError, match="budget is only used with codebook_mode='fixed'"):
+            run_ppq(porto_pts, mode=None, budget=16)
+
+    def test_fixed_without_budget_rejected(self, porto_pts):
+        with pytest.raises(ValueError, match="codebook_mode='fixed' needs a budget"):
+            run_ppq(porto_pts, mode=None, codebook_mode="fixed")
 
 
 class TestSizeAccounting:

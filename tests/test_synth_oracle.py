@@ -1,76 +1,56 @@
-"""Tests for the provided synth_data generators and the DuckDB oracle
+"""Tests for the DuckDB oracle over synthetic trajectory points
 (exercised over Spark, per the repo's correctness contract)."""
-import numpy as np
-import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
+from repro.trajgen import to_spark
 
 
-class TestGenerators:
-    def test_lineitem_deterministic(self, spark):
-        a = synth_data.lineitem(spark, sf=0.001, seed=3).toPandas()
-        b = synth_data.lineitem(spark, sf=0.001, seed=3).toPandas()
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_zipf_skew(self, spark):
-        df = synth_data.zipf_keys(spark, n=5000, n_keys=100, alpha=1.3).toPandas()
-        counts = df.k.value_counts()
-        assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-    def test_uniform_keys_range(self, spark):
-        df = synth_data.uniform_keys(spark, n=1000, n_keys=50).toPandas()
-        assert df.k.between(1, 50).all()
+@pytest.fixture(scope="module")
+def pts(spark, porto_pts):
+    return to_spark(spark, porto_pts)
 
 
 class TestOracle:
-    def test_simple_aggregate(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").agg(
+    def test_simple_aggregate(self, pts):
+        got = pts.groupBy("traj_id").agg(
             F.count("*").alias("n"),
-            F.round(F.sum("l_quantity"), 2).alias("qty"),
+            F.min("t").alias("t0"),
+            F.max("x").alias("xmax"),
         )
         assert_equivalent(
             got,
-            "SELECT l_returnflag, count(*) AS n, round(sum(l_quantity), 2) AS qty "
-            "FROM li GROUP BY l_returnflag",
-            li=li,
+            "SELECT traj_id, count(*) AS n, min(t) AS t0, max(x) AS xmax "
+            "FROM pts GROUP BY traj_id",
+            pts=pts,
         )
 
-    def test_join_query(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        o = synth_data.orders(spark, sf=0.001)
-        got = (
-            li.join(o, li.l_orderkey == o.o_orderkey)
-            .groupBy("o_orderpriority")
-            .agg(F.count("*").alias("n"))
-        )
+    def test_join_query(self, pts):
+        starts = pts.groupBy("traj_id").agg(F.min("t").alias("t"))
+        got = pts.join(starts, on=["traj_id", "t"]).select("traj_id", "x", "y")
         assert_equivalent(
             got,
-            "SELECT o_orderpriority, count(*) AS n FROM li "
-            "JOIN o ON l_orderkey = o_orderkey GROUP BY o_orderpriority",
-            li=li,
-            o=o,
+            "SELECT p.traj_id, p.x, p.y FROM pts p JOIN "
+            "(SELECT traj_id, min(t) AS t0 FROM pts GROUP BY traj_id) s "
+            "ON p.traj_id = s.traj_id AND p.t = s.t0",
+            pts=pts,
         )
 
-    def test_oracle_catches_wrong_result(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        wrong = li.groupBy("l_returnflag").agg((F.count("*") + 1).alias("n"))
+    def test_oracle_catches_wrong_result(self, pts):
+        wrong = pts.groupBy("traj_id").agg((F.count("*") + 1).alias("n"))
         with pytest.raises(AssertionError):
             assert_equivalent(
                 wrong,
-                "SELECT l_returnflag, count(*) AS n FROM li GROUP BY l_returnflag",
-                li=li,
+                "SELECT traj_id, count(*) AS n FROM pts GROUP BY traj_id",
+                pts=pts,
             )
 
-    def test_oracle_catches_column_mismatch(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").agg(F.count("*").alias("wrong_name"))
+    def test_oracle_catches_column_mismatch(self, pts):
+        got = pts.groupBy("traj_id").agg(F.count("*").alias("wrong_name"))
         with pytest.raises(AssertionError, match="column mismatch"):
             assert_equivalent(
                 got,
-                "SELECT l_returnflag, count(*) AS n FROM li GROUP BY l_returnflag",
-                li=li,
+                "SELECT traj_id, count(*) AS n FROM pts GROUP BY traj_id",
+                pts=pts,
             )
