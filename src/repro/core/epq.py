@@ -88,10 +88,10 @@ class EPQEngine:
             # is coded against prediction zero; without this, every new
             # partition would pay full raw-coordinate codebook coverage
             # for its cold points (see DESIGN.md).
-            for i in np.flatnonzero(~warm):
-                last = self.history.last(int(ids[i]))
-                if last is not None:
-                    pred[i] = last
+            cold = np.flatnonzero(~warm)
+            ramp = cold[self.history.counts(ids[cold]) > 0]
+            if len(ramp):
+                pred[ramp] = self.history.matrix(ids[ramp])[:, 0]
         self.coeffs[t] = coeffs
         errs = pts - pred
 

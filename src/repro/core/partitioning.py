@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.idindex import insert, lookup
 from repro.core.kmeans import grow_partition, max_dist_to_centroid
 
 AR_WINDOW = 16
@@ -29,32 +30,41 @@ AR_WINDOW = 16
 def ar_features(
     raw_hist: np.ndarray, k: int, *, ridge: float = 1e-10
 ) -> np.ndarray:
-    """Lag-k AR parameters a_i of one trajectory's recent raw history.
+    """Lag-k AR parameters a_i of a stack of trajectories' raw histories.
 
-    ``raw_hist`` is (w, 2), oldest first, w >= k+1. Fits
-    p[s] ~= sum_j a_j p[s-j] by least squares over both axes. Returns
-    zeros when the history is too short (cold start -- such trajectories
-    land in a common "unknown autocorrelation" region of feature space).
+    ``raw_hist`` is (n, w, 2): n windows of equal length w, oldest first.
+    For each window fits p[s] ~= sum_j a_j p[s-j] by least squares over
+    both axes (x and y lag rows interleaved) and returns the (n, k)
+    parameters. Windows with w < k+1 get zeros (cold start -- such
+    trajectories land in a common "unknown autocorrelation" region of
+    feature space). The n ridge-regularised normal equations are solved
+    in one stacked call; if one is singular, every window falls back to
+    its own solve, or least squares where that fails.
     """
-    w = len(raw_hist)
+    raw_hist = np.asarray(raw_hist, dtype=np.float64)
+    n, w, _ = raw_hist.shape
     if w < k + 1:
-        return np.zeros(k)
-    rows = []
-    ys = []
-    for s in range(k, w):
-        # lag matrix row: [p[s-1], ..., p[s-k]] per axis
-        lags = raw_hist[s - k : s][::-1]  # (k, 2), lag-1 first
-        rows.append(lags[:, 0])
-        ys.append(raw_hist[s, 0])
-        rows.append(lags[:, 1])
-        ys.append(raw_hist[s, 1])
-    a = np.asarray(rows)
-    b = np.asarray(ys)
-    ata = a.T @ a + ridge * np.eye(k) * max(1.0, np.abs(a).max() ** 2)
+        return np.zeros((n, k))
+    # lag matrix rows per window: [p[s-1], ..., p[s-k]] for x, then for y
+    a = np.stack(
+        [raw_hist[:, k - j : w - j] for j in range(1, k + 1)], axis=-1
+    ).reshape(n, 2 * (w - k), k)
+    b = raw_hist[:, k:].reshape(n, 2 * (w - k))
+    at = a.transpose(0, 2, 1)
+    # Python-float pow, as for a scalar; np.square can round differently
+    scale = [max(1.0, m**2) for m in np.abs(a).max(axis=(1, 2)).tolist()]
+    ata = at @ a + ridge * np.eye(k) * np.asarray(scale)[:, None, None]
+    atb = (at @ b[:, :, None])[:, :, 0]
     try:
-        return np.linalg.solve(ata, a.T @ b)
+        return np.linalg.solve(ata, atb)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, b, rcond=None)[0]
+        out = np.empty((n, k))
+        for i in range(n):
+            try:
+                out[i] = np.linalg.solve(ata[i], atb[i])
+            except np.linalg.LinAlgError:
+                out[i] = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
+        return out
 
 
 @dataclass
@@ -80,7 +90,9 @@ class IncrementalPartitioner:
 
     eps_p: float
     seed: int = 0
-    _assign: dict[int, int] = field(default_factory=dict)  # traj_id -> pid
+    # traj_id -> pid of its last update, as sorted ids + aligned pids
+    _ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    _pids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     _centroids: dict[int, np.ndarray] = field(default_factory=dict)
     _next_pid: int = 0
     merge_events: list[tuple[int, int]] = field(default_factory=list)
@@ -99,23 +111,18 @@ class IncrementalPartitioner:
 
         # Step 1 -- carry forward; unseen trajectories go to the nearest
         # existing centroid (or seed the first partition).
-        known = np.fromiter(
-            (int(i) in self._assign for i in ids), dtype=bool, count=len(ids)
-        )
+        rows, known = lookup(self._ids, ids)
         stats.n_carried = int(known.sum())
-        for idx in np.flatnonzero(known):
-            pids[idx] = self._assign[int(ids[idx])]
+        pids[known] = self._pids[rows[known]]
         new_idx = np.flatnonzero(~known)
         if len(new_idx):
             if self._centroids:
                 cents = np.vstack(list(self._centroids.values()))
-                keys = list(self._centroids.keys())
+                keys = np.fromiter(self._centroids.keys(), dtype=np.int64)
                 d2 = (
                     (feats[new_idx][:, None, :] - cents[None, :, :]) ** 2
                 ).sum(axis=2)
-                nearest_key = d2.argmin(axis=1)
-                for j, idx in enumerate(new_idx):
-                    pids[idx] = keys[int(nearest_key[j])]
+                pids[new_idx] = keys[d2.argmin(axis=1)]
             else:
                 pid = self._alloc()
                 pids[new_idx] = pid
@@ -175,8 +182,10 @@ class IncrementalPartitioner:
         for pid in removed:
             self._centroids.pop(pid, None)
 
-        for i, pid in zip(ids, pids):
-            self._assign[int(i)] = int(pid)
+        if not known.all():
+            self._ids, (self._pids,) = insert(self._ids, ids, self._pids)
+            rows, _ = lookup(self._ids, ids)
+        self._pids[rows] = pids
         stats.q = len(set(_group_ids(pids)))
         return pids, stats
 

@@ -188,8 +188,9 @@ def run_ppq(
     engines: dict[int, EPQEngine] = {}
     retired_engines: dict[int, EPQEngine] = {}  # per_t/fixed history keeper
     code_remap: dict[int, tuple[int, int]] = {}  # src pid -> (dst pid, offset)
-    raw_hist: dict[int, list[np.ndarray]] = {}
-    ar_ema_state: dict[int, np.ndarray] = {}
+    ar_state = (
+        _ARState(np.unique(pts_sorted.traj_id.to_numpy()), k) if mode == "A" else None
+    )
     part_stats: list[UpdateStats] = []
 
     out_rows: list[pd.DataFrame] = []
@@ -201,19 +202,7 @@ def run_ppq(
         if mode == "S":
             feats = xy
         elif mode == "A":
-            # lag-k autocorrelation features, EMA-smoothed over time: the
-            # AR parameters of a trajectory are a slowly varying property,
-            # and smoothing keeps estimation noise from churning the
-            # partitions (splits immediately undone by merges).
-            feats = np.empty((len(ids), k))
-            for row, i in enumerate(ids):
-                a = ar_features(
-                    np.asarray(raw_hist.get(int(i), [])).reshape(-1, 2), k
-                )
-                prev = ar_ema_state.get(int(i))
-                sm = a if prev is None else (1 - AR_EMA) * prev + AR_EMA * a
-                ar_ema_state[int(i)] = sm
-                feats[row] = sm
+            feats = ar_state.features(ids)
         else:
             feats = None
 
@@ -292,11 +281,7 @@ def run_ppq(
         )
 
         if mode == "A":
-            for i, p in zip(ids, xy):
-                h = raw_hist.setdefault(int(i), [])
-                h.append(p)
-                if len(h) > AR_WINDOW:
-                    del h[0]
+            ar_state.push(ids, xy)
 
     coded = pd.concat(out_rows, ignore_index=True)
     if code_remap:
@@ -342,6 +327,47 @@ def run_ppq(
         build_seconds=time.perf_counter() - t_start,
         partition_stats=part_stats,
     )
+
+
+class _ARState:
+    """PPQ-A's per-trajectory feature state, one row per sorted trajectory id.
+
+    Features are lag-k autocorrelations (``ar_features`` over the last
+    ``AR_WINDOW`` raw points), EMA-smoothed over time: the AR parameters
+    of a trajectory are a slowly varying property, and smoothing keeps
+    estimation noise from churning the partitions (splits immediately
+    undone by merges).
+    """
+
+    def __init__(self, traj_ids: np.ndarray, k: int):
+        self.traj_ids = traj_ids
+        self.k = k
+        self.window = np.zeros((len(traj_ids), AR_WINDOW, 2))  # oldest first
+        self.n_raw = np.zeros(len(traj_ids), dtype=np.int64)  # <= AR_WINDOW
+        self.ema = np.zeros((len(traj_ids), k))
+
+    def features(self, ids: np.ndarray) -> np.ndarray:
+        """Smoothed AR(k) features (n, k) of ``ids`` at this timestep, fitted
+        on their windows before it; folds them into the EMA state."""
+        rows = np.searchsorted(self.traj_ids, ids)
+        n_raw = self.n_raw[rows]
+        feats = np.empty((len(ids), self.k))
+        for w in np.unique(n_raw):
+            sel = n_raw == w
+            feats[sel] = ar_features(self.window[rows[sel], :w], self.k)
+        seen = n_raw > 0
+        feats[seen] = (1 - AR_EMA) * self.ema[rows[seen]] + AR_EMA * feats[seen]
+        self.ema[rows] = feats
+        return feats
+
+    def push(self, ids: np.ndarray, xy: np.ndarray) -> None:
+        """Append this timestep's raw points, dropping the oldest of full windows."""
+        rows = np.searchsorted(self.traj_ids, ids)
+        n_raw = self.n_raw[rows]
+        full = rows[n_raw == AR_WINDOW]
+        self.window[full, :-1] = self.window[full, 1:]
+        self.window[rows, np.minimum(n_raw, AR_WINDOW - 1)] = xy
+        self.n_raw[rows] = np.minimum(n_raw + 1, AR_WINDOW)
 
 
 def _validate(

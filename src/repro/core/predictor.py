@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.idindex import insert, lookup
+
 DEFAULT_K = 2
 """AR order. The paper does not state its k; AR(2) captures the
 constant-velocity regime dominant in vehicle data (see DESIGN.md)."""
@@ -43,44 +45,59 @@ def predict(hist: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 class History:
-    """Per-trajectory ring buffers of the last k reconstructed points."""
+    """Per-trajectory buffers of the last k reconstructed points.
+
+    Row r of ``_buf`` (shape (n, k, 2), newest first) and ``_count``
+    belongs to the r-th id of the sorted array ``_ids``; an id is merged
+    in the first time it is pushed. Each call takes a batch of distinct
+    ids.
+    """
 
     def __init__(self, k: int = DEFAULT_K):
         self.k = k
-        self._buf: dict[int, np.ndarray] = {}
-        self._count: dict[int, int] = {}
+        self._ids = np.empty(0, dtype=np.int64)
+        self._buf = np.zeros((0, k, 2))
+        self._count = np.zeros(0, dtype=np.int64)
+
+    def counts(self, ids: np.ndarray) -> np.ndarray:
+        """Reconstructions pushed so far per id (0 for unknown ids)."""
+        rows, found = lookup(self._ids, ids)
+        out = np.zeros(len(rows), dtype=np.int64)
+        out[found] = self._count[rows[found]]
+        return out
 
     def count(self, traj_id: int) -> int:
         """Number of reconstructions pushed so far for ``traj_id``."""
-        return self._count.get(traj_id, 0)
+        return int(self.counts(np.array([traj_id]))[0])
 
     def warm_ids(self, ids: np.ndarray) -> np.ndarray:
         """Boolean mask over ``ids``: has a full k-length history."""
-        return np.fromiter(
-            (self.count(int(i)) >= self.k for i in ids), dtype=bool, count=len(ids)
-        )
+        return self.counts(ids) >= self.k
 
     def matrix(self, ids: np.ndarray) -> np.ndarray:
         """History tensor (n, k, 2); hist[:, j-1] is the point at t-j.
 
-        All ids must be warm (``warm_ids`` true).
+        All ids must have been pushed; rows of ids with fewer than k
+        pushes are zero beyond their count (hist[:, 0] is the last
+        reconstruction of every id).
         """
-        return np.stack([self._buf[int(i)] for i in ids])
+        rows, _ = lookup(self._ids, ids)
+        return self._buf[rows]
 
     def push(self, ids: np.ndarray, recon: np.ndarray) -> None:
         """Record reconstructed points for this timestep."""
-        for i, p in zip(ids, recon):
-            i = int(i)
-            buf = self._buf.get(i)
-            if buf is None:
-                buf = np.zeros((self.k, 2))
-                self._buf[i] = buf
-            buf[1:] = buf[:-1]
-            buf[0] = p
-            self._count[i] = self._count.get(i, 0) + 1
+        rows, found = lookup(self._ids, ids)
+        if not found.all():
+            self._ids, (self._buf, self._count) = insert(
+                self._ids, ids, self._buf, self._count
+            )
+            rows, _ = lookup(self._ids, ids)
+        self._buf[rows, 1:] = self._buf[rows, :-1]
+        self._buf[rows, 0] = recon
+        self._count[rows] += 1
 
     def last(self, traj_id: int) -> np.ndarray | None:
         """Most recent reconstruction for ``traj_id`` (or None)."""
         if self.count(traj_id) == 0:
             return None
-        return self._buf[traj_id][0].copy()
+        return self.matrix(np.array([traj_id]))[0, 0]

@@ -49,7 +49,7 @@ def trajectory_features(df: DataFrame, *, mode: str, k: int = 2) -> DataFrame:
 
         def feat(pdf: pd.DataFrame) -> pd.DataFrame:
             pdf = pdf.sort_values("t").head(AR_WINDOW)
-            a = ar_features(pdf[["x", "y"]].to_numpy(), k)
+            a = ar_features(pdf[["x", "y"]].to_numpy()[None], k)[0]
             row = {"traj_id": [int(pdf.traj_id.iloc[0])]}
             for j in range(k):
                 row[f"f{j}"] = [float(a[j])]

@@ -3,39 +3,127 @@ import numpy as np
 import pytest
 
 from repro.core.kmeans import max_dist_to_centroid
-from repro.core.partitioning import IncrementalPartitioner, ar_features
+from repro.core.partitioning import AR_WINDOW, IncrementalPartitioner, ar_features
+
+
+def _ar_features_loop(raw_hist, k, ridge=1e-10):
+    """Reference: the per-trajectory fit that ``ar_features`` batches
+    (one (w, 2) window in, (k,) parameters out)."""
+    w = len(raw_hist)
+    if w < k + 1:
+        return np.zeros(k)
+    rows = []
+    ys = []
+    for s in range(k, w):
+        # lag matrix row: [p[s-1], ..., p[s-k]] per axis
+        lags = raw_hist[s - k : s][::-1]  # (k, 2), lag-1 first
+        rows.append(lags[:, 0])
+        ys.append(raw_hist[s, 0])
+        rows.append(lags[:, 1])
+        ys.append(raw_hist[s, 1])
+    a = np.asarray(rows)
+    b = np.asarray(ys)
+    ata = a.T @ a + ridge * np.eye(k) * max(1.0, np.abs(a).max() ** 2)
+    try:
+        return np.linalg.solve(ata, a.T @ b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def _loop_stack(stack, k):
+    return np.array([_ar_features_loop(h, k) for h in stack]).reshape(len(stack), k)
 
 
 class TestARFeatures:
     def test_constant_velocity_coeffs(self):
         t = np.arange(20)
         hist = np.column_stack([0.1 * t, 0.2 * t])
-        a = ar_features(hist, k=2)
+        a = ar_features(hist[None], k=2)
         # linear motion satisfies p[s] = 2 p[s-1] - p[s-2]
-        assert np.allclose(a, [2.0, -1.0], atol=1e-6)
+        assert np.allclose(a, [[2.0, -1.0]], atol=1e-6)
 
     def test_stationary_coeffs(self):
-        hist = np.full((15, 2), 3.0)
-        a = ar_features(hist, k=2)
+        hist = np.full((1, 15, 2), 3.0)
+        a = ar_features(hist, k=2)[0]
         pred = a[0] * 3.0 + a[1] * 3.0
         assert pred == pytest.approx(3.0, abs=1e-6)
 
     def test_short_history_zero(self):
-        assert np.allclose(ar_features(np.zeros((2, 2)), k=2), 0.0)
-        assert np.allclose(ar_features(np.zeros((0, 2)), k=2), 0.0)
+        assert np.allclose(ar_features(np.zeros((1, 2, 2)), k=2), 0.0)
+        assert np.allclose(ar_features(np.zeros((1, 0, 2)), k=2), 0.0)
+        assert ar_features(np.zeros((3, 2, 2)), k=2).shape == (3, 2)
 
     def test_shape(self):
         g = np.random.default_rng(0)
-        assert ar_features(g.random((12, 2)), k=3).shape == (3,)
+        assert ar_features(g.random((1, 12, 2)), k=3).shape == (1, 3)
+        assert ar_features(g.random((5, 12, 2)), k=3).shape == (5, 3)
+        assert ar_features(g.random((0, 12, 2)), k=3).shape == (0, 3)
 
     def test_distinct_dynamics_distinct_features(self):
         t = np.arange(30, dtype=float)
         smooth = np.column_stack([0.01 * t, 0.01 * t])
         g = np.random.default_rng(1)
         jumpy = g.random((30, 2))
-        a1 = ar_features(smooth, 2)
-        a2 = ar_features(jumpy, 2)
+        a1, a2 = ar_features(np.stack([smooth, jumpy]), 2)
         assert np.linalg.norm(a1 - a2) > 0.05
+
+
+class TestARFeaturesMatchesLoop:
+    """The batched fit is bit-identical to fitting each window alone."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("w", range(AR_WINDOW + 1))
+    def test_random_windows(self, k, w):
+        g = np.random.default_rng(100 * k + w)
+        stack = g.normal(0, 1, (40, w, 2)).cumsum(axis=1)
+        assert np.array_equal(ar_features(stack, k), _loop_stack(stack, k))
+
+    @pytest.mark.parametrize("w", range(3, AR_WINDOW + 1))
+    def test_constant_velocity_and_stationary_windows(self, w):
+        """Collinear lag columns: the ridge term carries the solve."""
+        g = np.random.default_rng(w)
+        t = np.arange(w, dtype=float)[None, :, None]
+        start = g.uniform(-10, 50, (20, 1, 2))
+        moving = start + g.normal(0, 1e-3, (20, 1, 2)) * t
+        still = np.broadcast_to(start, (20, w, 2))
+        stack = np.concatenate([moving, still])
+        assert np.array_equal(ar_features(stack, 2), _loop_stack(stack, 2))
+
+    @pytest.mark.parametrize("w", range(3, AR_WINDOW + 1))
+    def test_coordinates_around_1e2(self, w):
+        """Ridge scale max(1, max|A|^2) well above 1, as for lon/lat data."""
+        g = np.random.default_rng(1000 + w)
+        stack = 1e2 + g.normal(0, 1e-3, (60, w, 2)).cumsum(axis=1)
+        assert np.array_equal(ar_features(stack, 2), _loop_stack(stack, 2))
+
+    def test_ridge_dominated_lag_column(self):
+        """One large first point over a near-zero tail: the ridge term
+        sets the lag-1 diagonal, so the last bit of max|A|^2 shows in the
+        fit. For this v, v**2 and np.square(v) differ in that bit."""
+        v = -79.60370419441087
+        stack = 1e-9 * np.arange(1, 9, dtype=float)[None, :, None].repeat(2, axis=2)
+        stack[0, 0] = v
+        assert np.array_equal(ar_features(stack, 2), _loop_stack(stack, 2))
+
+    def test_failed_stacked_solve_falls_back_per_row(self, monkeypatch):
+        """When the stacked solve raises, each window is solved alone and
+        a window whose own solve raises gets its least-squares fit."""
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            if a.ndim == 3 or np.abs(a).max() < 1e-9:  # stack, or the zero window
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        g = np.random.default_rng(5)
+        stack = g.normal(0, 1, (4, 10, 2)).cumsum(axis=1)
+        stack[2] = 0.0
+        got = ar_features(stack, 2)
+        assert np.array_equal(got, _loop_stack(stack, 2))
+        assert np.array_equal(got[2], np.zeros(2))
+        monkeypatch.undo()
+        assert np.array_equal(got, ar_features(stack, 2))
 
 
 def _two_blobs(n=40, d=5.0, seed=0):

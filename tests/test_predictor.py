@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.epq import EPQEngine
 from repro.core.predictor import History, fit_coeffs, predict
 
 
@@ -104,3 +105,58 @@ class TestHistory:
         h.push(np.array([1]), np.array([[1.0, 1.0]]))
         mask = h.warm_ids(np.array([1, 2]))
         assert mask.tolist() == [True, False]
+
+    def test_id_inserted_between_known_ids_keeps_buffers(self):
+        h = History(k=2)
+        h.push(np.array([10, 30]), np.array([[1.0, 1.0], [3.0, 3.0]]))
+        h.push(np.array([10, 30]), np.array([[1.5, 1.5], [3.5, 3.5]]))
+        h.push(np.array([20]), np.array([[2.0, 2.0]]))
+        m = h.matrix(np.array([10, 30]))
+        assert m[:, :, 0].tolist() == [[1.5, 1.0], [3.5, 3.0]]
+        assert h.counts(np.array([10, 20, 30])).tolist() == [2, 1, 2]
+        assert h.last(20).tolist() == [2.0, 2.0]
+
+    def test_sparse_large_ids(self):
+        h = History(k=2)
+        ids = np.array([2**40, 3, 2**40 + 1, 2**33])
+        for v in (1.0, 2.0):
+            h.push(ids, np.full((4, 2), v) * np.arange(1, 5)[:, None])
+        assert h.warm_ids(ids).all()
+        m = h.matrix(ids)
+        assert m[:, 0, 0].tolist() == [2.0, 4.0, 6.0, 8.0]
+        assert m[:, 1, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert not h.warm_ids(np.array([2**40 + 2])).any()
+
+    def test_unknown_id_count_and_last(self):
+        h = History(k=2)
+        h.push(np.array([5, 9]), np.array([[1.0, 1.0], [2.0, 2.0]]))
+        for unknown in (0, 7, 100):
+            assert h.count(unknown) == 0
+            assert h.last(unknown) is None
+        assert h.counts(np.array([0, 5, 7, 9, 100])).tolist() == [0, 1, 0, 1, 0]
+
+    def test_matrix_rows_follow_id_order(self):
+        h = History(k=1)
+        h.push(np.array([1, 2, 3]), np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+        m = h.matrix(np.array([3, 1, 2, 1]))
+        assert m[:, 0, 0].tolist() == [3.0, 1.0, 2.0, 1.0]
+
+
+class TestEPQStepHistory:
+    def test_cold_ramping_warm_predictions(self):
+        """One step over a cold, a ramping and a warm id predicts zero,
+        the last reconstruction and the AR fit respectively."""
+        eng = EPQEngine(0.5, k=2, seed=0)
+        warm, ramping, cold = 4, 2**40, 11
+        eng.step(1, np.array([warm]), np.array([[1.0, 1.0]]))
+        eng.step(2, np.array([warm, ramping]), np.array([[2.0, 2.0], [7.0, 8.0]]))
+        hist = eng.history.matrix(np.array([warm, ramping]))
+        last_ramping = hist[1, 0].copy()
+        ids = np.array([cold, ramping, warm])
+        pts = np.array([[5.0, 5.0], [7.5, 8.5], [3.0, 3.0]])
+        res = eng.step(3, ids, pts)
+        assert res.pred[0].tolist() == [0.0, 0.0]
+        assert np.array_equal(res.pred[1], last_ramping)
+        coeffs = fit_coeffs(hist[:1], pts[2:])
+        assert np.array_equal(res.pred[2], predict(hist[:1], coeffs)[0])
+        assert np.array_equal(eng.coeffs[3], coeffs)
