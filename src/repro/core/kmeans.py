@@ -73,53 +73,42 @@ def grow_partition(
     """Partition ``pts`` so every point is within ``eps`` of its centroid.
 
     Returns ``(labels, centroids, rounds)`` where ``rounds`` counts the
-    split rounds (the paper's m in Lemma 1).
+    split rounds (the paper's m in Lemma 1). Each label keeps its member
+    indices in ascending order, so a round only recomputes the centroid and
+    radius of the clusters the previous round split; the others keep theirs.
     """
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
-    n = len(pts)
-    labels = np.zeros(n, dtype=np.int64)
+    n, dim = pts.shape
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, dim)), 0
+    members = [np.arange(n)]
+    centroids: list = [None]
+    changed = [0]  # labels whose members changed, ascending
     rounds = 0
     while True:
-        centroids = _centroids_of(pts, labels)
-        viol = _violating_clusters(pts, labels, centroids, eps)
+        viol = []
+        for j in changed:
+            sub = pts[members[j]]
+            centroids[j] = sub.mean(axis=0)
+            d = np.sqrt(((sub - centroids[j]) ** 2).sum(axis=1))
+            if d.max() > eps and len(sub) > 1:
+                viol.append(j)
         if not viol:
-            return labels, centroids, rounds
+            break
         rounds += 1
-        next_label = int(labels.max()) + 1
         for j in viol:
-            m = labels == j
-            if m.sum() <= 1:
-                continue
-            sub = _split_two(pts[m], seed + rounds + j)
-            idx = np.flatnonzero(m)
-            labels[idx[sub == 1]] = next_label
-            next_label += 1
-
-
-def _centroids_of(pts: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    k = int(labels.max()) + 1
-    centroids = np.zeros((k, pts.shape[1]))
-    for j in range(k):
-        m = labels == j
-        if m.any():
-            centroids[j] = pts[m].mean(axis=0)
-    return centroids
-
-
-def _violating_clusters(
-    pts: np.ndarray, labels: np.ndarray, centroids: np.ndarray, eps: float
-) -> list[int]:
-    out = []
-    for j in range(len(centroids)):
-        m = labels == j
-        if not m.any():
-            continue
-        d = np.sqrt(((pts[m] - centroids[j]) ** 2).sum(axis=1))
-        if d.max() > eps and m.sum() > 1:
-            out.append(j)
-    return out
+            idx = members[j]
+            sub = _split_two(pts[idx], seed + rounds + j)
+            members[j] = idx[sub == 0]
+            members.append(idx[sub == 1])
+        changed = viol + list(range(len(centroids), len(members)))
+        centroids += [None] * len(viol)  # set when ``changed`` is visited
+    labels = np.empty(n, dtype=np.int64)
+    for j, idx in enumerate(members):
+        labels[idx] = j
+    return labels, np.array(centroids), rounds
 
 
 def max_dist_to_centroid(pts: np.ndarray, centroid: np.ndarray) -> float:

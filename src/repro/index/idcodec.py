@@ -9,7 +9,6 @@ to invert it. Index-size accounting uses ``encoded_bits``.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,7 @@ def _canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
     code = 0
     prev_len = 0
     out: dict[int, tuple[int, int]] = {}
-    for s, ln in sorted(lengths.items(), key=lambda kv: (kv[1], kv[0])):
+    for ln, s in sorted((ln, s) for s, ln in lengths.items()):
         code <<= ln - prev_len
         out[s] = (code, ln)
         code += 1
@@ -62,19 +61,30 @@ class EncodedIds:
         return self.encoded_bits + len(self.lengths) * (32 + 6)
 
 
-def encode_ids(ids: np.ndarray) -> EncodedIds:
-    """Delta + Huffman encode a list of trajectory IDs."""
-    ids = np.sort(np.asarray(ids, dtype=np.int64))
-    if len(ids) == 0:
+def encode_ids(ids) -> EncodedIds:
+    """Delta + Huffman encode a list of trajectory IDs (an int array or a
+    sequence of ints). Cell lists are mostly one or two IDs long, so the
+    sort, delta code and symbol count run on plain Python ints."""
+    if isinstance(ids, np.ndarray):
+        ids = sorted(ids.astype(np.int64, copy=False).tolist())
+    else:
+        ids = sorted(map(int, ids))
+    if not ids:
         return EncodedIds(data=b"", n_ids=0, lengths={}, encoded_bits=0)
-    deltas = np.diff(ids, prepend=np.int64(0))
-    freqs = Counter(int(d) for d in deltas)
-    lengths = _huffman_lengths(dict(freqs))
+    deltas = []
+    freqs: dict[int, int] = {}  # in order of first occurrence
+    prev = 0
+    for v in ids:
+        d = v - prev
+        prev = v
+        deltas.append(d)
+        freqs[d] = freqs.get(d, 0) + 1
+    lengths = _huffman_lengths(freqs)
     codes = _canonical_codes(lengths)
     acc = 0
     nbits = 0
     for d in deltas:
-        c, ln = codes[int(d)]
+        c, ln = codes[d]
         acc = (acc << ln) | c
         nbits += ln
     pad = (-nbits) % 8

@@ -26,23 +26,37 @@ CellKey = tuple[int, int, int]  # (rect_idx, cx, cy)
 
 @dataclass
 class PI:
-    """Disjoint rectangles + per-rectangle grid of compressed ID lists."""
+    """Disjoint rectangles + per-rectangle grid of compressed ID lists.
+
+    ``rects`` only grows through ``extend``, which keeps the stacked
+    rectangle bounds and sizes the array code reads in step with it.
+    """
 
     gc: float
     rects: list[Rect] = field(default_factory=list)
     cells: dict[CellKey, dict[int, EncodedIds]] = field(default_factory=dict)
     built_at: int = 0
     build_seconds: float = 0.0
+    _bounds: np.ndarray = field(init=False, repr=False, compare=False)  # (R, 4)
+    _sizes: np.ndarray = field(init=False, repr=False, compare=False)  # (R,)
+
+    def __post_init__(self) -> None:
+        self._bounds = np.array(
+            [(r.x0, r.y0, r.x1, r.y1) for r in self.rects], dtype=np.float64
+        ).reshape(-1, 4)
+        self._sizes = _grid_sizes(self._bounds, self.gc)
 
     # ---------------- geometry ----------------
     def rect_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Rect index per point, -1 when uncovered. Rects are disjoint, so
         the first hit is the only hit."""
-        out = np.full(len(xs), -1, dtype=np.int64)
-        for ri, r in enumerate(self.rects):
-            m = (out == -1) & r.contains_many(xs, ys)
-            out[m] = ri
-        return out
+        xs = np.asarray(xs, dtype=np.float64)[:, None]
+        ys = np.asarray(ys, dtype=np.float64)[:, None]
+        b = self._bounds
+        if not len(b):
+            return np.full(len(xs), -1, dtype=np.int64)
+        inside = (xs >= b[:, 0]) & (xs < b[:, 2]) & (ys >= b[:, 1]) & (ys < b[:, 3])
+        return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
     def cell_of(self, ri: int, x: float, y: float) -> CellKey:
         r = self.rects[ri]
@@ -54,19 +68,25 @@ class PI:
     ) -> np.ndarray:
         """Index covered points at time ``t``; returns mask of uncovered."""
         start = time.perf_counter()
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
         ri = self.rect_of(xs, ys)
         covered = ri >= 0
-        buckets: dict[CellKey, list[int]] = {}
-        for i in np.flatnonzero(covered):
-            r = self.rects[ri[i]]
-            key = (
-                int(ri[i]),
-                int((xs[i] - r.x0) // self.gc),
-                int((ys[i] - r.y0) // self.gc),
-            )
-            buckets.setdefault(key, []).append(int(ids[i]))
-        for key, lst in buckets.items():
-            self.cells.setdefault(key, {})[t] = encode_ids(np.asarray(lst))
+        sel = np.flatnonzero(covered)
+        ri = ri[sel]
+        cx = ((xs[sel] - self._bounds[ri, 0]) // self.gc).astype(np.int64)
+        cy = ((ys[sel] - self._bounds[ri, 1]) // self.gc).astype(np.int64)
+        # group the points by cell: sort by key, one ID list per run of keys
+        order = np.lexsort((cy, cx, ri))
+        ri, cx, cy = ri[order], cx[order], cy[order]
+        firsts = np.flatnonzero(
+            np.diff(ri, prepend=-1) | np.diff(cx, prepend=0) | np.diff(cy, prepend=0)
+        )
+        cell_ids = np.asarray(ids)[sel[order]].tolist()
+        ends = firsts[1:].tolist() + [len(order)]
+        keys = zip(ri[firsts].tolist(), cx[firsts].tolist(), cy[firsts].tolist())
+        for key, lo, hi in zip(keys, firsts.tolist(), ends):
+            self.cells.setdefault(key, {})[t] = encode_ids(cell_ids[lo:hi])
         self.build_seconds += time.perf_counter() - start
         return ~covered
 
@@ -74,6 +94,8 @@ class PI:
         """Absorb another PI's rectangles and cells (TPI "Insertion")."""
         off = len(self.rects)
         self.rects.extend(other.rects)
+        self._bounds = np.concatenate([self._bounds, other._bounds])
+        self._sizes = _grid_sizes(self._bounds, self.gc)
         for (ri, cx, cy), per_t in other.cells.items():
             self.cells[(ri + off, cx, cy)] = per_t
         self.build_seconds += other.build_seconds
@@ -122,15 +144,8 @@ class PI:
         return out
 
     def rect_sizes(self) -> np.ndarray:
-        """|R_i| in grid cells (Definition 5.1's rectangle size)."""
-        return np.array(
-            [
-                max(1, int(np.ceil(r.width / self.gc)))
-                * max(1, int(np.ceil(r.height / self.gc)))
-                for r in self.rects
-            ],
-            dtype=np.int64,
-        )
+        """|R_i| in grid cells (Definition 5.1's rectangle size), read-only."""
+        return self._sizes
 
     def size_bits(self) -> int:
         """Index size: rect metadata + cell keys + compressed ID lists."""
@@ -140,6 +155,14 @@ class PI:
             for enc in per_t.values():
                 bits += 32 + enc.total_bits  # timestamp + payload
         return bits
+
+
+def _grid_sizes(bounds: np.ndarray, gc: float) -> np.ndarray:
+    """Read-only grid-cell count per rectangle, at least one per axis."""
+    per_axis = np.ceil((bounds[:, 2:] - bounds[:, :2]) / gc).astype(np.int64)
+    sizes = np.maximum(1, per_axis).prod(axis=1)
+    sizes.flags.writeable = False
+    return sizes
 
 
 def build_pi(
@@ -163,5 +186,9 @@ def build_pi(
     pi = PI(gc=gc, rects=region_list, built_at=t)
     pi.build_seconds = time.perf_counter() - start
     uncov = pi.add_points(t, ids, xs, ys)
-    assert not uncov.any(), "build_pi must cover all of its own points"
+    if uncov.any():
+        raise RuntimeError(
+            f"build_pi left {int(uncov.sum())} of its own points at t={t} "
+            "outside every rectangle"
+        )
     return pi

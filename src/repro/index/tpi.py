@@ -74,6 +74,8 @@ class TPI:
         ids = np.asarray(ids, dtype=np.int64)
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
+        if len(ids) == 0:
+            raise ValueError(f"empty timestep: TPI.push needs points at t={t}")
         try:
             if self.current is None:
                 self._open_period(t, ids, xs, ys)
@@ -81,8 +83,7 @@ class TPI:
             pi = self.current.pi
             ri = pi.rect_of(xs, ys)
             covered = ri >= 0
-            counts = np.zeros(len(pi.rects), dtype=np.int64)
-            np.add.at(counts, ri[covered], 1)
+            counts = np.bincount(ri[covered], minlength=len(pi.rects))
             d_now = counts / pi.rect_sizes()
             if adr(d_now, self._base_density, self.eps_c) > self.eps_d:
                 self.current.te = t - 1

@@ -75,3 +75,68 @@ class TestCompression:
     def test_total_bits_includes_table(self):
         enc = encode_ids(np.array([1, 100]))
         assert enc.total_bits > enc.encoded_bits
+
+
+def _numpy_encode_ids(ids):
+    """The earlier encoder: numpy sort and delta, ``Counter`` of deltas."""
+    from collections import Counter
+
+    from repro.index.idcodec import EncodedIds, _canonical_codes, _huffman_lengths
+
+    ids = np.sort(np.asarray(ids, dtype=np.int64))
+    if len(ids) == 0:
+        return EncodedIds(data=b"", n_ids=0, lengths={}, encoded_bits=0)
+    deltas = np.diff(ids, prepend=np.int64(0))
+    lengths = _huffman_lengths(dict(Counter(int(d) for d in deltas)))
+    codes = _canonical_codes(lengths)
+    acc = 0
+    nbits = 0
+    for d in deltas:
+        c, ln = codes[int(d)]
+        acc = (acc << ln) | c
+        nbits += ln
+    pad = (-nbits) % 8
+    acc <<= pad
+    data = acc.to_bytes((nbits + pad) // 8, "big") if nbits else b""
+    return EncodedIds(data=data, n_ids=len(ids), lengths=lengths, encoded_bits=nbits)
+
+
+class TestEncoderInputs:
+    """One encoder, the same bytes whatever form the IDs come in."""
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[], [0], [5], [41, 3], [3, 41], [9, 1, 5], [7, 7, 7], [2, 9, 2, 9, 4],
+         list(range(100)), [10, 1000, 999999], [2, 4, 8, 16, 1024]],
+    )
+    def test_same_encoding_for_arrays_and_lists(self, ids):
+        want = _numpy_encode_ids(np.array(ids, dtype=np.int64))
+        assert encode_ids(np.array(ids, dtype=np.int64)) == want
+        assert encode_ids(list(ids)) == want
+        assert encode_ids(list(reversed(ids))) == want
+        assert encode_ids(tuple(ids)) == want
+        assert encode_ids(np.array(ids, dtype=np.int32)) == want
+
+    def test_empty(self):
+        empty = encode_ids([])
+        assert empty == encode_ids(np.zeros(0, dtype=np.int64))
+        assert (empty.data, empty.n_ids, empty.lengths, empty.encoded_bits) == (
+            b"", 0, {}, 0
+        )
+
+    def test_duplicates_counted(self):
+        enc = encode_ids([4, 4, 1])
+        assert enc.n_ids == 3
+        assert decode_ids(enc).tolist() == [1, 4, 4]
+
+    def test_symbol_table_order_kept(self):
+        """The codebook lists delta symbols in order of first occurrence."""
+        ids = [30, 1, 2, 3, 10, 20]
+        assert list(encode_ids(ids).lengths) == list(_numpy_encode_ids(ids).lengths)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**40), max_size=60))
+    def test_property_matches_numpy_encoder(self, ids):
+        want = _numpy_encode_ids(ids)
+        assert encode_ids(ids) == want
+        assert encode_ids(np.array(ids, dtype=np.int64)) == want

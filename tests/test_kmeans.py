@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.kmeans import grow_partition, kmeans, max_dist_to_centroid
+from repro.core.kmeans import _split_two, grow_partition, kmeans, max_dist_to_centroid
 
 
 def _blob_data(seed=0, n=200, k=4, spread=0.05):
@@ -116,6 +116,105 @@ class TestGrowPartition:
         labels, cents, _ = grow_partition(pts, 0.1, seed=0)
         for j in np.unique(labels):
             assert max_dist_to_centroid(pts[labels == j], cents[j]) <= 0.1
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_no_points(self, dim):
+        labels, cents, rounds = grow_partition(np.zeros((0, dim)), 0.1, seed=0)
+        assert labels.dtype == np.int64 and labels.shape == (0,)
+        assert cents.shape == (0, dim)
+        assert rounds == 0
+
+    def test_no_points_1d(self):
+        labels, cents, rounds = grow_partition(np.zeros(0), 0.1, seed=0)
+        assert labels.shape == (0,) and cents.shape == (0, 1) and rounds == 0
+
+
+def _loop_grow_partition(pts, eps, *, seed=0):
+    """The earlier grow_partition: every round masks every label over all
+    points to recompute all centroids and radii."""
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    labels = np.zeros(len(pts), dtype=np.int64)
+    rounds = 0
+    while True:
+        k = int(labels.max()) + 1
+        centroids = np.zeros((k, pts.shape[1]))
+        for j in range(k):
+            m = labels == j
+            if m.any():
+                centroids[j] = pts[m].mean(axis=0)
+        viol = []
+        for j in range(k):
+            m = labels == j
+            if not m.any():
+                continue
+            d = np.sqrt(((pts[m] - centroids[j]) ** 2).sum(axis=1))
+            if d.max() > eps and m.sum() > 1:
+                viol.append(j)
+        if not viol:
+            return labels, centroids, rounds
+        rounds += 1
+        next_label = int(labels.max()) + 1
+        for j in viol:
+            m = labels == j
+            if m.sum() <= 1:
+                continue
+            sub = _split_two(pts[m], seed + rounds + j)
+            idx = np.flatnonzero(m)
+            labels[idx[sub == 1]] = next_label
+            next_label += 1
+
+
+class TestGrowPartitionMatchesLoop:
+    """Revisiting only the split clusters gives bit-identical labels,
+    centroids and rounds."""
+
+    @staticmethod
+    def _check(pts, eps, seed=0):
+        got = grow_partition(pts, eps, seed=seed)
+        want = _loop_grow_partition(pts, eps, seed=seed)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+        assert got[0].dtype == want[0].dtype and got[1].shape == want[1].shape
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("eps", [1e-9, 0.05, 0.3, 1e6])
+    def test_random_points(self, seed, eps):
+        g = np.random.default_rng(seed)
+        pts = g.normal(0, 1, (int(g.integers(2, 300)), 2))
+        self._check(pts, eps, seed=seed)
+
+    @pytest.mark.parametrize("eps", [1e-12, 0.01, 0.2])
+    def test_duplicate_points(self, eps):
+        g = np.random.default_rng(7)
+        base = g.normal(0, 1, (12, 2))
+        pts = np.repeat(base, g.integers(1, 9, 12), axis=0)
+        pts = pts[g.permutation(len(pts))]
+        self._check(pts, eps)
+        self._check(np.round(g.normal(0, 1, (200, 2)), 1), eps)
+
+    @pytest.mark.parametrize("eps", [1e-9, 0.05, 2.0])
+    def test_1d_input(self, eps):
+        g = np.random.default_rng(8)
+        self._check(g.normal(0, 1, 150), eps, seed=3)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_other_dimensions(self, dim):
+        g = np.random.default_rng(9)
+        self._check(g.normal(0, 1, (120, dim)), 0.1, seed=2)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1.0])
+    def test_single_point(self, eps):
+        self._check(np.array([[1.5, -2.0]]), eps)
+
+    def test_lon_lat_scale(self):
+        """Degree coordinates with sub-metre spread, as the index sees."""
+        g = np.random.default_rng(10)
+        pts = np.array([116.3, 39.9]) + g.normal(0, 1e-3, (150, 2))
+        self._check(pts, 1e-4, seed=5)
 
 
 def _labels(pts, cents):

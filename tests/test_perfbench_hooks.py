@@ -6,6 +6,8 @@ import pytest
 
 from repro.core import ppq
 from repro.core.partitioning import AR_WINDOW
+from repro.harness.config import QUICK
+from repro.index.tpi import TPI
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,3 +46,30 @@ def test_traced_ppqa_build_reaches_the_layers(tracing, porto_pts):
     assert calls["core.predictor.history"] > 0
     assert calls["core.partitioning.update"] == n_steps
     assert [owner.__dict__[attr] for owner, attr, _ in patches] == originals
+
+
+def test_traced_tpi_replay_reaches_the_index_layers(tracing, porto_pts):
+    """Every push indexes its points through ``PI.add_points`` and
+    ``encode_ids``; every push that builds a PI (initial, re-build,
+    insertion) goes through ``build_pi`` and ``grow_partition`` once."""
+    patches = tracing.layer_patches(False)
+    tracer = tracing.Tracer()
+    steps = [(int(t), f) for t, f in porto_pts.groupby("t", sort=True)][:12]
+    # the last frame again, one step later: every point is covered -> append
+    steps.append((steps[-1][0] + 1, steps[-1][1]))
+    tpi = TPI(eps_d=0.8, eps_c=0.5, eps_s=QUICK.eps_s, gc=QUICK.gc)
+    actions = []
+    with tracing.installed(tracer, patches):
+        for t, f in steps:
+            before = dict(tracer.calls)
+            ids, xs, ys = f.traj_id.to_numpy(), f.x.to_numpy(), f.y.to_numpy()
+            action = tpi.push(t, ids, xs, ys)
+            calls = {k: v - before.get(k, 0) for k, v in tracer.calls.items()}
+            actions.append(action)
+            assert calls.get("index.tpi.push") == 1
+            assert calls.get("index.pi.add_points", 0) >= 1
+            assert calls.get("index.idcodec.encode_ids", 0) >= 1
+            builds = 0 if action == "append" else 1
+            assert calls.get("index.pi.build_pi", 0) == builds
+            assert calls.get("index.pi.grow_partition", 0) == builds
+    assert set(actions) == {"initial", "re-build", "insertion", "append"}

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+from repro.index.idcodec import decode_ids, encode_ids
 from repro.index.pi import PI, build_pi
+from repro.index.rectangles import Rect
 
 
 def _frame(seed=0, n=120, spread=0.3):
@@ -116,3 +118,166 @@ class TestAccounting:
         ids, xs, ys = _frame(seed=2)
         pi.add_points(5, ids, xs, ys)
         assert pi.size_bits() > before
+
+
+def _loop_rect_of(pi, xs, ys):
+    """The earlier rect_of: test the rectangles one by one."""
+    out = np.full(len(xs), -1, dtype=np.int64)
+    for ri, r in enumerate(pi.rects):
+        m = (out == -1) & r.contains_many(xs, ys)
+        out[m] = ri
+    return out
+
+
+def _loop_buckets(pi, ids, xs, ys):
+    """The earlier add_points bucketing: one point at a time, the cell from
+    the point's numpy scalars and its rectangle's Python-float corner."""
+    ri = _loop_rect_of(pi, xs, ys)
+    buckets = {}
+    for i in np.flatnonzero(ri >= 0):
+        r = pi.rects[ri[i]]
+        key = (
+            int(ri[i]),
+            int((xs[i] - r.x0) // pi.gc),
+            int((ys[i] - r.y0) // pi.gc),
+        )
+        buckets.setdefault(key, []).append(int(ids[i]))
+    return buckets
+
+
+def _edge_points(pi, g, n):
+    """Points exactly on rectangle corners and edges (both half-open
+    sides), on cell boundaries inside them, and some points outside."""
+    b = np.array([(r.x0, r.y0, r.x1, r.y1) for r in pi.rects])
+    pick = b[g.integers(0, len(b), n)]
+    xs = pick[np.arange(n), g.choice([0, 2], n)]
+    ys = pick[np.arange(n), g.choice([1, 3], n)]
+    on_grid = g.random(n) < 0.3
+    xs[on_grid] = pick[on_grid, 0] + pi.gc * g.integers(0, 4, on_grid.sum())
+    mix = g.random(n) < 0.3
+    ys[mix] = g.uniform(pick[mix, 1], pick[mix, 3])
+    far = g.random(n) < 0.1
+    xs[far] += 100.0
+    return xs, ys
+
+
+class TestMatchesLoop:
+    """Stacked-bounds lookup and array-coded bucketing equal the loops."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rect_of_random_points(self, pi, seed):
+        g = np.random.default_rng(seed)
+        xs, ys = g.uniform(-1.5, 5.5, 500), g.uniform(-1.5, 3.5, 500)
+        got = pi.rect_of(xs, ys)
+        assert np.array_equal(got, _loop_rect_of(pi, xs, ys))
+        assert (got == -1).any() and (got >= 0).any()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rect_of_on_half_open_edges(self, pi, seed):
+        xs, ys = _edge_points(pi, np.random.default_rng(seed), 400)
+        got = pi.rect_of(xs, ys)
+        assert np.array_equal(got, _loop_rect_of(pi, xs, ys))
+        assert (got == -1).any()
+
+    def test_rect_of_without_rects(self):
+        xs = np.array([0.0, 1.0])
+        assert np.array_equal(PI(gc=0.1).rect_of(xs, xs), [-1, -1])
+
+    def test_rect_of_no_points(self, pi):
+        got = pi.rect_of(np.zeros(0), np.zeros(0))
+        assert got.shape == (0,) and got.dtype == np.int64
+
+    @staticmethod
+    def _check_bucketing(pi, t, ids, xs, ys):
+        want = _loop_buckets(pi, ids, xs, ys)
+        before = {k: dict(v) for k, v in pi.cells.items()}
+        uncov = pi.add_points(t, ids, xs, ys)
+        assert np.array_equal(uncov, _loop_rect_of(pi, xs, ys) < 0)
+        got = {k: per_t[t] for k, per_t in pi.cells.items() if t in per_t}
+        assert sorted(got) == sorted(want)
+        for key, lst in want.items():
+            assert got[key] == encode_ids(np.asarray(lst))
+            assert np.array_equal(decode_ids(got[key]), np.sort(lst))
+        for key, per_t in before.items():  # other timestamps untouched
+            assert {s: e for s, e in pi.cells[key].items() if s != t} == per_t
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_add_points_random(self, pi, seed):
+        g = np.random.default_rng(seed)
+        ids, xs, ys = _frame(seed=seed + 10, n=300, spread=0.6)
+        self._check_bucketing(pi, 2 + seed, g.permutation(ids), xs, ys)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_add_points_on_edges(self, pi, seed):
+        g = np.random.default_rng(seed)
+        xs, ys = _edge_points(pi, g, 300)
+        self._check_bucketing(pi, 2, g.integers(0, 50, 300), xs, ys)
+
+    def test_add_points_duplicate_points_and_ids(self, pi):
+        ids, xs, ys = _frame(seed=4, n=40)
+        rep = np.repeat(np.arange(40), 3)
+        self._check_bucketing(pi, 2, ids[rep] % 7, xs[rep], ys[rep])
+
+    def test_add_points_all_uncovered(self, pi):
+        n_cells = len(pi.cells)
+        self._check_bucketing(pi, 2, np.arange(3), np.full(3, 50.0), np.full(3, 50.0))
+        assert len(pi.cells) == n_cells
+
+    def test_add_points_no_points(self, pi):
+        uncov = pi.add_points(2, np.zeros(0, np.int64), np.zeros(0), np.zeros(0))
+        assert uncov.shape == (0,)
+
+    def test_add_points_floor_on_decimal_grid(self):
+        """Decimal offsets where ``(x - x0) // gc`` and ``floor((x - x0) / gc)``
+        part (1.0 // 0.1 is 9.0, 1.0 / 0.1 is 10.0)."""
+        pi = PI(gc=0.1, rects=[Rect(0.0, 0.0, 5.0, 5.0), Rect(5.0, 0.0, 9.0, 5.0)])
+        xs = np.round(np.arange(0, 90) * 0.1, 10)
+        ys = xs[::-1] % 5.0
+        assert (xs // 0.1 != np.floor(xs / 0.1)).any()
+        self._check_bucketing(pi, 1, np.arange(90), xs, ys)
+
+    def test_floor_matches_python_floats(self, pi):
+        """The array ``//`` gives the cell of the same Python-float
+        expression ``cell_of`` uses for queries."""
+        xs, ys = _edge_points(pi, np.random.default_rng(6), 400)
+        pi.add_points(2, np.arange(400), xs, ys)
+        ri = pi.rect_of(xs, ys)
+        for i in np.flatnonzero(ri >= 0):
+            key = pi.cell_of(int(ri[i]), float(xs[i]), float(ys[i]))
+            assert i in decode_ids(pi.cells[key][2])
+
+    def test_rect_sizes_match_rects(self, pi):
+        other = build_pi(
+            4, np.array([7, 8]), np.array([50.0, 50.3]), np.array([50.0, 50.7]),
+            eps_s=1.0, gc=0.25, seed=1,
+        )
+        n_before = len(pi.rects)
+        pi.extend(other)
+        gc = pi.gc
+        want = [
+            max(1, int(np.ceil(r.width / gc))) * max(1, int(np.ceil(r.height / gc)))
+            for r in pi.rects
+        ]
+        assert pi.rect_sizes().tolist() == want
+        assert pi.rect_of(np.array([50.0]), np.array([50.0]))[0] == n_before
+
+
+class TestCoverageCheck:
+    def test_uncovered_own_point_raises(self, monkeypatch):
+        """The check is an exception, so it also holds under ``python -O``."""
+        real = PI.rect_of
+
+        def drop_first(self, xs, ys):
+            out = real(self, xs, ys)
+            out[:1] = -1
+            return out
+
+        monkeypatch.setattr(PI, "rect_of", drop_first)
+        ids, xs, ys = _frame()
+        with pytest.raises(RuntimeError, match="t=1"):
+            build_pi(1, ids, xs, ys, eps_s=1.0, gc=0.25, seed=0)
+
+    def test_no_points_builds_empty_index(self):
+        no = np.zeros(0)
+        pi = build_pi(1, no.astype(np.int64), no, no, eps_s=1.0, gc=0.25)
+        assert pi.rects == [] and pi.cells == {}

@@ -166,3 +166,36 @@ class TestThresholdShapes:
     def test_build_seconds_recorded(self):
         tpi = self._periods(0.5, 0.5)
         assert tpi.build_seconds > 0
+
+
+class TestEmptyTimestep:
+    """An empty timestep is rejected with the timestamp named, whether it
+    opens the index or arrives later, and leaves the index as it was."""
+
+    def test_first_push_rejected(self):
+        tpi = TPI(eps_s=1.0, gc=0.2)
+        with pytest.raises(ValueError, match="t=5"):
+            tpi.push(5, [], [], [])
+        assert tpi.n_periods == 0
+
+    def test_later_push_rejected(self):
+        """A later empty step drops every density to zero, so before the
+        check it went to a re-build over no points."""
+        pts = _drift_points(n_steps=3)
+        tpi = TPI(eps_d=0.5, eps_c=0.5, eps_s=1.0, gc=0.2)
+        for t in (1, 2, 3):
+            tpi.push(t, *_step(pts, t))
+
+        def state():
+            return tpi.n_periods, tpi.n_rebuilds, tpi.n_insertions, tpi.size_bits()
+
+        before = state()
+        with pytest.raises(ValueError, match="t=4"):
+            tpi.push(4, np.zeros(0, np.int64), np.zeros(0), np.zeros(0))
+        assert state() == before
+        assert tpi.push(4, *_step(pts, 3)) == "append"
+
+
+def _step(pts, t):
+    f = pts[pts.t == t]
+    return f.traj_id.to_numpy(), f.x.to_numpy(), f.y.to_numpy()
