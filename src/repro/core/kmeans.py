@@ -12,6 +12,27 @@ from __future__ import annotations
 import numpy as np
 
 
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (len(a), len(b)) between rows of a and b.
+
+    Adds one coordinate's squared difference at a time instead of reducing
+    an (n, m, d) temporary. Bit-identical to
+    ``((a[:, None] - b[None]) ** 2).sum(axis=2)`` below eight coordinates,
+    where numpy sums the terms left to right. The builds pass one or two
+    (points, or PPQ-A's default k = 2 AR features).
+    """
+    d2 = (a[:, None, 0] - b[None, :, 0]) ** 2
+    for c in range(1, a.shape[1]):
+        d2 += (a[:, None, c] - b[None, :, c]) ** 2
+    return d2
+
+
+def centroid(pts: np.ndarray) -> np.ndarray:
+    """Mean of the rows of a non-empty float array: what ``pts.mean(axis=0)``
+    computes (the same reduction and division), without its dispatch cost."""
+    return np.add.reduce(pts, axis=0) / len(pts)
+
+
 def kmeans(
     pts: np.ndarray, k: int, *, seed: int = 0, iters: int = 10
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -37,15 +58,14 @@ def kmeans(
         d2 = np.minimum(d2, ((pts - centroids[j]) ** 2).sum(axis=1))
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(iters):
-        dists = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dists.argmin(axis=1)
+        new_labels = sq_dists(pts, centroids).argmin(axis=1)
         if np.array_equal(new_labels, labels) and _ > 0:
             break
         labels = new_labels
         for j in range(k):
             m = labels == j
             if m.any():
-                centroids[j] = pts[m].mean(axis=0)
+                centroids[j] = centroid(pts[m])
     return labels, centroids
 
 
@@ -91,7 +111,7 @@ def grow_partition(
         viol = []
         for j in changed:
             sub = pts[members[j]]
-            centroids[j] = sub.mean(axis=0)
+            centroids[j] = centroid(sub)
             d = np.sqrt(((sub - centroids[j]) ** 2).sum(axis=1))
             if d.max() > eps and len(sub) > 1:
                 viol.append(j)

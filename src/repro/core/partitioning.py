@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.idindex import insert, lookup
-from repro.core.kmeans import grow_partition, max_dist_to_centroid
+from repro.core.kmeans import (
+    centroid,
+    grow_partition,
+    max_dist_to_centroid,
+    sq_dists,
+)
 
 AR_WINDOW = 16
 """Points of recent raw history an AR(k) feature is fitted over."""
@@ -119,48 +124,44 @@ class IncrementalPartitioner:
             if self._centroids:
                 cents = np.vstack(list(self._centroids.values()))
                 keys = np.fromiter(self._centroids.keys(), dtype=np.int64)
-                d2 = (
-                    (feats[new_idx][:, None, :] - cents[None, :, :]) ** 2
-                ).sum(axis=2)
-                pids[new_idx] = keys[d2.argmin(axis=1)]
+                pids[new_idx] = keys[sq_dists(feats[new_idx], cents).argmin(axis=1)]
             else:
                 pid = self._alloc()
                 pids[new_idx] = pid
-                self._centroids[pid] = feats[new_idx].mean(axis=0)
+                self._centroids[pid] = centroid(feats[new_idx])
 
         # Step 2 -- recompute centroids on current members; re-split any
-        # partition violating eps_p.
-        for pid in list(_group_ids(pids)):
-            m = pids == pid
-            sub = feats[m]
-            centroid = sub.mean(axis=0)
-            self._centroids[pid] = centroid
-            if len(sub) > 1 and max_dist_to_centroid(sub, centroid) > self.eps_p:
+        # partition violating eps_p. A split only moves rows to fresh pids,
+        # so the groups taken before the loop stay each pid's members.
+        values, order, bounds = group_rows(pids)
+        for pid, lo, hi in zip(values.tolist(), bounds[:-1], bounds[1:]):
+            idxs = order[lo:hi]
+            sub = feats[idxs]
+            cent = centroid(sub)
+            self._centroids[pid] = cent
+            if len(sub) > 1 and max_dist_to_centroid(sub, cent) > self.eps_p:
                 stats.n_resplit_partitions += 1
-                labels, cents, _ = grow_partition(
-                    sub, self.eps_p, seed=self.seed + pid
-                )
-                idxs = np.flatnonzero(m)
+                labels, _, _ = grow_partition(sub, self.eps_p, seed=self.seed + pid)
                 # label 0 keeps the original pid; others get fresh pids
-                for lab in np.unique(labels):
-                    sel = idxs[labels == lab]
+                labs, lorder, lbounds = group_rows(labels)
+                for lab, a, b in zip(labs.tolist(), lbounds[:-1], lbounds[1:]):
+                    sel = idxs[lorder[a:b]]
                     if lab == 0:
-                        self._centroids[pid] = feats[sel].mean(axis=0)
+                        self._centroids[pid] = centroid(feats[sel])
                         continue
                     npid = self._alloc()
                     stats.n_new_partitions += 1
                     pids[sel] = npid
-                    self._centroids[npid] = feats[sel].mean(axis=0)
+                    self._centroids[npid] = centroid(feats[sel])
 
         # Drop centroids of partitions with no current members? No: keep
         # them -- dormant trajectories may resume; but they don't merge.
-        live = set(_group_ids(pids))
+        live_sorted = np.unique(pids).tolist()
 
         # Step 3 -- merge near-duplicate partitions; each target absorbs
         # at most one source per update.
         merged_into: set[int] = set()
         removed: set[int] = set()
-        live_sorted = sorted(live)
         for a_i, pa in enumerate(live_sorted):
             if pa in removed:
                 continue
@@ -176,8 +177,7 @@ class IncrementalPartitioner:
                     merged_into.add(pa)
                     self.merge_events.append((pb, pa))
                     stats.n_merges += 1
-                    m = pids == pa
-                    self._centroids[pa] = feats[m].mean(axis=0)
+                    self._centroids[pa] = centroid(feats[pids == pa])
                     break
         for pid in removed:
             self._centroids.pop(pid, None)
@@ -186,7 +186,7 @@ class IncrementalPartitioner:
             self._ids, (self._pids,) = insert(self._ids, ids, self._pids)
             rows, _ = lookup(self._ids, ids)
         self._pids[rows] = pids
-        stats.q = len(set(_group_ids(pids)))
+        stats.q = len(live_sorted) - len(removed)
         return pids, stats
 
     def _alloc(self) -> int:
@@ -195,5 +195,17 @@ class IncrementalPartitioner:
         return pid
 
 
-def _group_ids(pids: np.ndarray) -> np.ndarray:
-    return np.unique(pids)
+def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of ``keys`` by value.
+
+    Returns ``(values, order, bounds)``: the distinct values ascending, a
+    stable argsort of ``keys``, and offsets such that
+    ``order[bounds[i]:bounds[i + 1]]`` are the rows holding ``values[i]``,
+    in ascending order.
+    """
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    first = np.ones(len(sk), dtype=bool)
+    first[1:] = sk[1:] != sk[:-1]
+    starts = np.flatnonzero(first)
+    return sk[starts], order, np.append(starts, len(sk))

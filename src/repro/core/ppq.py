@@ -46,6 +46,7 @@ from repro.core.partitioning import (
     IncrementalPartitioner,
     UpdateStats,
     ar_features,
+    group_rows,
 )
 from repro.core.predictor import DEFAULT_K, History
 
@@ -61,8 +62,14 @@ class Summary:
     reconstruction (xhat, yhat) and the CQC-corrected reconstruction
     (xrec, yrec) -- identical when CQC is disabled. The summary *storage*
     is the codebooks + coefficients + per-point code indexes + CQC codes;
-    the reconstruction columns are materialised for convenience (they are
-    a pure function of the stored parts, verified by tests).
+    the reconstruction columns are what the encoder computed, materialised
+    for convenience. They are meant to be a pure function of the stored
+    parts, but no test decodes them from those parts alone: the tests that
+    compare them derive the prediction from ``xhat`` itself. In global
+    codebook mode they are not such a function yet: a partition merge
+    rewrites a row's (pid, code) to the merge target, but the row was
+    predicted with the source partition's coefficients, and
+    ``coeffs[(pid, t)]`` holds the target's.
     """
 
     coded: pd.DataFrame
@@ -182,22 +189,34 @@ def run_ppq(
     gs = gs if gs is not None else eps1 * 0.45
     cqc = CQCCoder(eps1, gs) if use_cqc else None
 
-    pts_sorted = points.sort_values(["t", "traj_id"], kind="mergesort")
+    # one stable sort by (t, traj_id); timesteps are runs of equal t
+    traj = points["traj_id"].to_numpy().astype(np.int64)
+    ts = points["t"].to_numpy().astype(np.int64)
+    order = np.lexsort((traj, ts))
+    traj, ts = traj[order], ts[order]
+    xy_all = points[["x", "y"]].to_numpy(dtype=np.float64)[order]
+    n = len(ts)
+    cuts = np.flatnonzero(np.diff(ts)) + 1
+
     shared_history = History(k)
     partitioner = IncrementalPartitioner(eps_p=eps_p, seed=seed) if mode else None
     engines: dict[int, EPQEngine] = {}
     retired_engines: dict[int, EPQEngine] = {}  # per_t/fixed history keeper
     code_remap: dict[int, tuple[int, int]] = {}  # src pid -> (dst pid, offset)
-    ar_state = (
-        _ARState(np.unique(pts_sorted.traj_id.to_numpy()), k) if mode == "A" else None
-    )
+    ar_state = _ARState(np.unique(traj), k) if mode == "A" else None
     part_stats: list[UpdateStats] = []
 
-    out_rows: list[pd.DataFrame] = []
+    # per-point outputs, in the sorted row order
+    pid_out = np.zeros(n, dtype=np.int64)
+    code_out = np.empty(n, dtype=np.int64)
+    recon_out = np.empty((n, 2))
+    rec2_out = np.empty((n, 2))
+    cqc_out = np.full(n, -1, dtype=np.int64)
 
-    for t, batch in pts_sorted.groupby("t", sort=True):
-        ids = batch.traj_id.to_numpy()
-        xy = batch[["x", "y"]].to_numpy(dtype=np.float64)
+    for lo, hi in zip(np.r_[0, cuts].tolist(), np.r_[cuts, n].tolist()):
+        t = int(ts[lo])
+        ids = traj[lo:hi]
+        xy = xy_all[lo:hi]
 
         if mode == "S":
             feats = xy
@@ -230,62 +249,63 @@ def run_ppq(
                 offset = dst_eng.quantizer.absorb(src_eng.quantizer)
                 code_remap[src] = (dst, offset)
                 retired_engines[src] = src_eng
+            pid_out[lo:hi] = pids
         else:
-            pids = np.zeros(len(ids), dtype=np.int64)
+            pids = pid_out[lo:hi]
 
-        codes = np.empty(len(ids), dtype=np.int64)
-        recon = np.empty((len(ids), 2))
-        uniq, counts = np.unique(pids, return_counts=True)
-        bt = budget.get(int(t)) if isinstance(budget, dict) else budget
-        budgets = _split_budget(bt, uniq, counts)
-        for pid in uniq:
-            engine = engines.get(int(pid))
+        # one stable sort by pid: each partition's rows, in their order at
+        # this timestep, are one slice [a:b) of the permuted arrays
+        uniq, rows, bounds = group_rows(pids)
+        bt = budget.get(t) if isinstance(budget, dict) else budget
+        budgets = _split_budget(bt, uniq, np.diff(bounds))
+        ids_p, xy_p = ids[rows], xy[rows]
+        codes_p = np.empty(len(rows), dtype=np.int64)
+        recon_p = np.empty((len(rows), 2))
+        for pid, a, b in zip(uniq.tolist(), bounds[:-1], bounds[1:]):
+            engine = engines.get(pid)
             if engine is None:
                 engine = EPQEngine(
                     eps1,
                     k=k,
-                    seed=seed + 7919 * (int(pid) + 1),
+                    seed=seed + 7919 * (pid + 1),
                     predict_enabled=predict,
                     history=shared_history,
                     codebook_mode=codebook_mode,
                 )
-                engines[int(pid)] = engine
-            m = pids == pid
-            res = engine.step(int(t), ids[m], xy[m], budget=budgets.get(int(pid)))
-            codes[m] = res.codes
-            recon[m] = res.recon
+                engines[pid] = engine
+            res = engine.step(t, ids_p[a:b], xy_p[a:b], budget=budgets.get(pid))
+            codes_p[a:b] = res.codes
+            recon_p[a:b] = res.recon
+        code_out[lo + rows] = codes_p
+        recon_out[lo + rows] = recon_p
+        recon = recon_out[lo:hi]
 
         if cqc is not None:
-            cqc_codes = cqc.encode(xy - recon)
-            rec2 = cqc.correct(recon, cqc_codes)
+            cqc_out[lo:hi] = cqc.encode(xy - recon)
+            rec2_out[lo:hi] = cqc.correct(recon, cqc_out[lo:hi])
         else:
-            cqc_codes = np.full(len(ids), -1, dtype=np.int64)
-            rec2 = recon
-
-        out_rows.append(
-            pd.DataFrame(
-                {
-                    "traj_id": ids.astype(np.int64),
-                    "t": np.full(len(ids), int(t), dtype=np.int32),
-                    "x": xy[:, 0],
-                    "y": xy[:, 1],
-                    "pid": pids.astype(np.int64),
-                    "code": codes,
-                    "xhat": recon[:, 0],
-                    "yhat": recon[:, 1],
-                    "xrec": rec2[:, 0],
-                    "yrec": rec2[:, 1],
-                    "cqc": cqc_codes,
-                }
-            )
-        )
+            rec2_out[lo:hi] = recon
 
         if mode == "A":
             ar_state.push(ids, xy)
 
-    coded = pd.concat(out_rows, ignore_index=True)
     if code_remap:
-        _apply_code_remap(coded, code_remap)
+        _apply_code_remap(pid_out, code_out, code_remap)
+    coded = pd.DataFrame(
+        {
+            "traj_id": traj,
+            "t": ts.astype(np.int32),
+            "x": xy_all[:, 0],
+            "y": xy_all[:, 1],
+            "pid": pid_out,
+            "code": code_out,
+            "xhat": recon_out[:, 0],
+            "yhat": recon_out[:, 1],
+            "xrec": rec2_out[:, 0],
+            "yrec": rec2_out[:, 1],
+            "cqc": cqc_out,
+        }
+    )
     codebooks: dict[int, np.ndarray] = {}
     codebooks_t: dict[tuple[int, int], np.ndarray] = {}
     coeffs: dict[tuple[int, int], np.ndarray] = {}
@@ -383,6 +403,8 @@ def _validate(
             f"non-finite x/y in {int(bad.sum())} rows "
             "(one NaN would poison the shared coefficient fit)"
         )
+    _check_integral(points["t"], "t")
+    _check_integral(points["traj_id"], "traj_id")
     dup = points.duplicated(["traj_id", "t"])
     if dup.any():
         raise ValueError(f"duplicate (traj_id, t) in {int(dup.sum())} rows")
@@ -394,11 +416,27 @@ def _validate(
         )
 
 
-def _apply_code_remap(coded: pd.DataFrame, remap: dict[int, tuple[int, int]]) -> None:
+def _check_integral(col: pd.Series, name: str) -> None:
+    """Reject a key column that is not integer-valued: the build would drop
+    rows whose t is NaN, and truncate a fractional t onto another step."""
+    v = col.to_numpy()
+    if v.dtype.kind in "iu":
+        return
+    if v.dtype.kind != "f":
+        raise ValueError(f"non-integer {name}: dtype {v.dtype}")
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise ValueError(f"non-finite {name} in {int((~finite).sum())} rows")
+    bad = v != np.floor(v)
+    if bad.any():
+        raise ValueError(f"non-integer {name} in {int(bad.sum())} rows")
+
+
+def _apply_code_remap(
+    pid_arr: np.ndarray, code_arr: np.ndarray, remap: dict[int, tuple[int, int]]
+) -> None:
     """Rewrite (pid, code) of merged-away partitions to their merge target
     (following chains), in place. Global-codebook mode only."""
-    pid_arr = coded["pid"].to_numpy().copy()
-    code_arr = coded["code"].to_numpy().copy()
     resolved: dict[int, tuple[int, int]] = {}
     for src in remap:
         pid, off = src, 0
@@ -412,8 +450,6 @@ def _apply_code_remap(coded: pd.DataFrame, remap: dict[int, tuple[int, int]]) ->
         if m.any():
             code_arr[m] += off
             pid_arr[m] = dst
-    coded["pid"] = pid_arr
-    coded["code"] = code_arr
 
 
 def _split_budget(

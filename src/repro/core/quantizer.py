@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kmeans import grow_partition, kmeans
+from repro.core.kmeans import grow_partition, kmeans, sq_dists
 
 
 def nearest(codebook: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -23,10 +23,10 @@ def nearest(codebook: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     dists = np.empty(len(pts))
     step = max(1, 4_000_000 // max(1, len(codebook)))
     for s in range(0, len(pts), step):
-        block = pts[s : s + step]
-        d2 = ((block[:, None, :] - codebook[None, :, :]) ** 2).sum(axis=2)
-        codes[s : s + step] = d2.argmin(axis=1)
-        dists[s : s + step] = np.sqrt(d2[np.arange(len(block)), codes[s : s + step]])
+        d2 = sq_dists(pts[s : s + step], codebook)
+        c = d2.argmin(axis=1)
+        codes[s : s + step] = c
+        dists[s : s + step] = np.sqrt(d2[np.arange(len(c)), c])
     return codes, dists
 
 
@@ -36,45 +36,31 @@ class IncrementalQuantizer:
     def __init__(self, eps: float, *, seed: int = 0):
         self.eps = float(eps)
         self.seed = seed
-        self._codewords: list[np.ndarray] = []
-        self._arr: np.ndarray | None = None
+        # codeword array (V, 2); growth replaces it, never writes into it
+        self.codebook = np.zeros((0, 2))
 
     def __len__(self) -> int:
-        return len(self._codewords)
-
-    @property
-    def codebook(self) -> np.ndarray:
-        """Codeword array, shape (V, 2)."""
-        if self._arr is None or len(self._arr) != len(self._codewords):
-            self._arr = (
-                np.vstack(self._codewords)
-                if self._codewords
-                else np.zeros((0, 2))
-            )
-        return self._arr
+        return len(self.codebook)
 
     def quantize(self, errs: np.ndarray) -> np.ndarray:
         """Assign codes to ``errs`` (n, 2), growing C to keep the bound."""
         errs = np.atleast_2d(np.asarray(errs, dtype=np.float64))
         n = len(errs)
         codes = np.full(n, -1, dtype=np.int64)
-        if len(self._codewords):
+        offset = len(self.codebook)
+        if offset:
             codes[:], dists = nearest(self.codebook, errs)
             bad = dists > self.eps
         else:
             bad = np.ones(n, dtype=bool)
         if bad.any():
+            # every label of grow_partition is a non-empty cluster, so the
+            # new codes are the labels shifted past the existing codewords
             labels, cents, _ = grow_partition(
-                errs[bad], self.eps, seed=self.seed + len(self._codewords)
+                errs[bad], self.eps, seed=self.seed + offset
             )
-            # only keep non-empty clusters, remap labels to new code ids
-            offset = len(self._codewords)
-            remap = {}
-            for j in np.unique(labels):
-                remap[int(j)] = offset + len(remap)
-                self._codewords.append(cents[int(j)])
-            self._arr = None
-            codes[bad] = np.array([remap[int(l)] for l in labels], dtype=np.int64)
+            self.codebook = np.concatenate([self.codebook, cents])
+            codes[bad] = offset + labels
         return codes
 
     def reconstruct(self, codes: np.ndarray) -> np.ndarray:
@@ -84,9 +70,8 @@ class IncrementalQuantizer:
     def absorb(self, other: "IncrementalQuantizer") -> int:
         """Append another quantizer's codewords (partition merge,
         Section 3.2.2). Returns the offset the other's codes shift by."""
-        offset = len(self._codewords)
-        self._codewords.extend(other._codewords)
-        self._arr = None
+        offset = len(self.codebook)
+        self.codebook = np.concatenate([self.codebook, other.codebook])
         return offset
 
 

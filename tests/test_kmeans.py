@@ -2,7 +2,14 @@
 import numpy as np
 import pytest
 
-from repro.core.kmeans import _split_two, grow_partition, kmeans, max_dist_to_centroid
+from repro.core.kmeans import (
+    _split_two,
+    centroid,
+    grow_partition,
+    kmeans,
+    max_dist_to_centroid,
+    sq_dists,
+)
 
 
 def _blob_data(seed=0, n=200, k=4, spread=0.05):
@@ -215,6 +222,90 @@ class TestGrowPartitionMatchesLoop:
         g = np.random.default_rng(10)
         pts = np.array([116.3, 39.9]) + g.normal(0, 1e-3, (150, 2))
         self._check(pts, 1e-4, seed=5)
+
+
+def _kmeans_3d(pts, k, *, seed=0, iters=10):
+    """The earlier kmeans: Lloyd distances from an (n, k, d) temporary,
+    centroids by ``.mean(axis=0)``."""
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n = len(pts)
+    k = max(1, min(k, n))
+    if k == 1:
+        return np.zeros(n, dtype=np.int64), pts.mean(axis=0, keepdims=True)
+    g = np.random.default_rng(seed)
+    centroids = np.empty((k, pts.shape[1]))
+    centroids[0] = pts[g.integers(0, n)]
+    d2 = ((pts - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        centroids[j] = pts[int(np.argmax(d2))]
+        d2 = np.minimum(d2, ((pts - centroids[j]) ** 2).sum(axis=1))
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(iters):
+        dists = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dists.argmin(axis=1)
+        if np.array_equal(new_labels, labels) and _ > 0:
+            break
+        labels = new_labels
+        for j in range(k):
+            m = labels == j
+            if m.any():
+                centroids[j] = pts[m].mean(axis=0)
+    return labels, centroids
+
+
+class TestKMeansMatches3D:
+    """Per-coordinate distances and add.reduce centroids give bit-identical
+    labels and centroids."""
+
+    @staticmethod
+    def _check(pts, k, seed=0):
+        got, want = kmeans(pts, k, seed=seed), _kmeans_3d(pts, k, seed=seed)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 5, 16])
+    def test_random(self, seed, dim, k):
+        g = np.random.default_rng(seed)
+        self._check(g.normal(0, 1, (int(g.integers(1, 300)), dim)), k, seed=seed)
+
+    def test_1d_input(self):
+        self._check(np.random.default_rng(1).normal(0, 1, 120), 3)
+
+    @pytest.mark.parametrize("k", [2, 4, 9])
+    def test_duplicate_points(self, k):
+        """Duplicate points make equal centroids: argmin ties keep the first."""
+        g = np.random.default_rng(2)
+        base = np.round(g.normal(0, 1, (5, 2)), 1)
+        pts = np.repeat(base, g.integers(1, 12, 5), axis=0)
+        self._check(pts[g.permutation(len(pts))], k)
+        self._check(np.ones((20, 2)), k)
+
+    def test_lon_lat_scale(self):
+        g = np.random.default_rng(3)
+        pts = np.array([116.3, 39.9]) + g.normal(0, 1e-3, (200, 2))
+        self._check(pts, 6, seed=4)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_sq_dists_matches_3d_sum(self, dim):
+        """Exact below eight coordinates, which numpy sums left to right."""
+        g = np.random.default_rng(dim)
+        a = g.normal(0, 1, (70, dim)) * 10.0 ** g.uniform(-4, 3, dim)
+        b = g.normal(0, 1, (13, dim))
+        want = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(sq_dists(a, b), want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_centroid_matches_mean(self, dim):
+        g = np.random.default_rng(dim)
+        for n in (1, 2, 7, 8, 9, 500):
+            pts = np.array([116.3] * dim) + g.normal(0, 1e-3, (n, dim))
+            assert np.array_equal(centroid(pts), pts.mean(axis=0))
 
 
 def _labels(pts, cents):

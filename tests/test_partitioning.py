@@ -3,7 +3,12 @@ import numpy as np
 import pytest
 
 from repro.core.kmeans import max_dist_to_centroid
-from repro.core.partitioning import AR_WINDOW, IncrementalPartitioner, ar_features
+from repro.core.partitioning import (
+    AR_WINDOW,
+    IncrementalPartitioner,
+    ar_features,
+    group_rows,
+)
 
 
 def _ar_features_loop(raw_hist, k, ridge=1e-10):
@@ -132,6 +137,21 @@ def _two_blobs(n=40, d=5.0, seed=0):
     b = g.normal(0, 0.05, (n, 2)) + d
     ids = np.arange(2 * n)
     return ids, np.vstack([a, b])
+
+
+class TestGroupRows:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_groups_equal_masks(self, seed):
+        """Each group is the ascending rows ``keys == value`` selects."""
+        keys = np.random.default_rng(seed).integers(0, 9, 200)
+        values, order, bounds = group_rows(keys)
+        assert np.array_equal(values, np.unique(keys))
+        for v, lo, hi in zip(values, bounds[:-1], bounds[1:]):
+            assert np.array_equal(order[lo:hi], np.flatnonzero(keys == v))
+
+    def test_empty(self):
+        values, order, bounds = group_rows(np.empty(0, dtype=np.int64))
+        assert len(values) == len(order) == 0 and bounds.tolist() == [0]
 
 
 class TestIncrementalPartitioner:

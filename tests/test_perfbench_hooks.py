@@ -48,6 +48,24 @@ def test_traced_ppqa_build_reaches_the_layers(tracing, porto_pts):
     assert [owner.__dict__[attr] for owner, attr, _ in patches] == originals
 
 
+def test_traced_ppqs_build_counts_one_step_per_live_partition(tracing, geolife_pts):
+    """Under the wrappers a PPQ-S build runs one partitioner update per
+    timestep, and one ``EPQEngine.step`` and one quantize per partition live
+    at that timestep, so the traced counters count exactly that."""
+    patches = tracing.layer_patches(False)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, patches):
+        s = ppq.run_ppq(geolife_pts, mode="S", eps1=0.001, eps_p=0.15, seed=0)
+    n_steps = geolife_pts.t.nunique()
+    live = sum(st.q for st in s.partition_stats)
+    calls = tracer.calls
+    assert len(s.partition_stats) == n_steps
+    assert live > n_steps  # more than one partition at some timestep
+    assert calls["core.partitioning.update"] == n_steps
+    assert calls["core.epq.step"] == live
+    assert calls["core.quantizer.quantize"] == live
+
+
 def test_traced_tpi_replay_reaches_the_index_layers(tracing, porto_pts):
     """Every push indexes its points through ``PI.add_points`` and
     ``encode_ids``; every push that builds a PI (initial, re-build,

@@ -159,6 +159,49 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="codebook_mode='fixed' needs a budget"):
             run_ppq(porto_pts, mode=None, codebook_mode="fixed")
 
+    def test_nan_t_rejected(self, porto_pts):
+        """NaN timestamps on three trajectories used to be dropped silently."""
+        pts = porto_pts.astype({"t": np.float64})
+        rows = pts.drop_duplicates("traj_id").index[:3]
+        pts.loc[rows, "t"] = np.nan
+        with pytest.raises(ValueError, match="non-finite t in 3 rows"):
+            run_ppq(pts, mode="S", eps_p=0.02)
+
+    def test_infinite_t_rejected(self, porto_pts):
+        pts = porto_pts.astype({"t": np.float64})
+        pts.loc[pts.index[0], "t"] = np.inf
+        with pytest.raises(ValueError, match="non-finite t in 1 rows"):
+            run_ppq(pts, mode=None)
+
+    def test_fractional_t_rejected(self, porto_pts):
+        """t = 1.5 used to be truncated onto t = 1's coefficient key."""
+        pts = porto_pts.astype({"t": np.float64})
+        pts.loc[pts.index[0], "t"] = 1.5
+        with pytest.raises(ValueError, match="non-integer t in 1 rows"):
+            run_ppq(pts, mode=None)
+
+    @pytest.mark.parametrize(
+        "bad,case",
+        [(0.5, "non-integer"), (np.nan, "non-finite"), (np.inf, "non-finite")],
+    )
+    def test_bad_traj_id_rejected(self, porto_pts, bad, case):
+        pts = porto_pts.astype({"traj_id": np.float64})
+        pts.loc[pts.index[:2], "traj_id"] = bad
+        with pytest.raises(ValueError, match=f"{case} traj_id in 2 rows"):
+            run_ppq(pts, mode=None)
+
+    def test_non_numeric_t_rejected(self, porto_pts):
+        pts = porto_pts.astype({"t": str})
+        with pytest.raises(ValueError, match="non-integer t: dtype object"):
+            run_ppq(pts, mode=None)
+
+    def test_integral_float_keys_accepted(self, porto_pts):
+        """Whole-number float t / traj_id build exactly what ints build."""
+        pts = porto_pts.astype({"t": np.float64, "traj_id": np.float64})
+        got = run_ppq(pts, mode="S", eps_p=0.02).coded
+        want = run_ppq(porto_pts, mode="S", eps_p=0.02).coded
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
+
 
 class TestSizeAccounting:
     def test_summary_bits_positive(self, ppqa_summary):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kmeans import grow_partition
 from repro.core.quantizer import (
     FixedQuantizer,
     IncrementalQuantizer,
@@ -112,6 +113,128 @@ class TestIncrementalQuantizer:
         codes = q.quantize(pts)
         err = np.sqrt(((pts - q.reconstruct(codes)) ** 2).sum(axis=1))
         assert err.max() <= eps + 1e-9
+
+
+def _nearest_3d(codebook, pts):
+    """The earlier nearest: reduces an (n, V, d) temporary over its last axis."""
+    pts = np.atleast_2d(pts)
+    codes = np.empty(len(pts), dtype=np.int64)
+    dists = np.empty(len(pts))
+    step = max(1, 4_000_000 // max(1, len(codebook)))
+    for s in range(0, len(pts), step):
+        block = pts[s : s + step]
+        d2 = ((block[:, None, :] - codebook[None, :, :]) ** 2).sum(axis=2)
+        codes[s : s + step] = d2.argmin(axis=1)
+        dists[s : s + step] = np.sqrt(d2[np.arange(len(block)), codes[s : s + step]])
+    return codes, dists
+
+
+class TestNearestMatches3D:
+    """Summing one coordinate at a time gives the same codes and
+    bit-identical distances as the 3-D reduction."""
+
+    @staticmethod
+    def _check(codebook, pts):
+        got, want = nearest(codebook, pts), _nearest_3d(codebook, pts)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_random(self, seed, dim):
+        g = np.random.default_rng(seed)
+        cb = g.normal(0, 1, (int(g.integers(1, 60)), dim))
+        pts = g.normal(0, 1.5, (int(g.integers(1, 400)), dim))
+        self._check(cb, pts)
+
+    def test_duplicate_codewords_keep_first(self):
+        """Ties in argmin go to the first of equal codewords."""
+        g = np.random.default_rng(4)
+        base = np.round(g.normal(0, 1, (6, 2)), 1)
+        cb = np.vstack([base, base[::-1], base])
+        pts = np.vstack([base, np.round(g.normal(0, 1, (200, 2)), 1)])
+        self._check(cb, pts)
+        codes, _ = nearest(cb, base)
+        assert np.array_equal(codes, np.arange(6))
+
+    def test_several_chunks(self):
+        """A codebook large enough that the points are taken in chunks."""
+        g = np.random.default_rng(5)
+        cb = g.normal(0, 1, (40_000, 2))
+        pts = g.normal(0, 1, (350, 2))
+        assert 4_000_000 // len(cb) < len(pts)
+        self._check(cb, pts)
+
+    def test_lon_lat_scale(self):
+        """Points at degree coordinates with sub-metre offsets."""
+        g = np.random.default_rng(6)
+        centre = np.array([116.3, 39.9])
+        cb = centre + g.normal(0, 1e-3, (80, 2))
+        pts = centre + g.normal(0, 1e-3, (500, 2))
+        self._check(cb, pts)
+        self._check(cb - centre, pts - centre)
+
+
+class _ListQuantizer:
+    """The earlier IncrementalQuantizer: a list of codewords re-stacked after
+    each growth, new codes assigned through a label -> code map."""
+
+    def __init__(self, eps, *, seed=0):
+        self.eps, self.seed, self._codewords = float(eps), seed, []
+
+    @property
+    def codebook(self):
+        return np.vstack(self._codewords) if self._codewords else np.zeros((0, 2))
+
+    def quantize(self, errs):
+        errs = np.atleast_2d(np.asarray(errs, dtype=np.float64))
+        codes = np.full(len(errs), -1, dtype=np.int64)
+        if self._codewords:
+            codes[:], dists = _nearest_3d(self.codebook, errs)
+            bad = dists > self.eps
+        else:
+            bad = np.ones(len(errs), dtype=bool)
+        if bad.any():
+            labels, cents, _ = grow_partition(
+                errs[bad], self.eps, seed=self.seed + len(self._codewords)
+            )
+            remap = {}
+            for j in np.unique(labels):
+                remap[int(j)] = len(self._codewords)
+                self._codewords.append(cents[int(j)])
+            codes[bad] = np.array([remap[int(l)] for l in labels], dtype=np.int64)
+        return codes
+
+    def absorb(self, other):
+        offset = len(self._codewords)
+        self._codewords.extend(other._codewords)
+        return offset
+
+
+class TestIncrementalQuantizerMatchesList:
+    """One growing codebook array emits the codes and codewords the
+    list-backed quantizer did, across batches and merges."""
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 1.0])
+    def test_batches_and_absorb(self, eps):
+        g = np.random.default_rng(int(eps * 100))
+        new, old = IncrementalQuantizer(eps, seed=3), _ListQuantizer(eps, seed=3)
+        new2, old2 = IncrementalQuantizer(eps, seed=9), _ListQuantizer(eps, seed=9)
+        for step in range(8):
+            batch = g.normal(0, 1 + step, (int(g.integers(1, 120)), 2))
+            assert np.array_equal(new.quantize(batch), old.quantize(batch))
+            assert np.array_equal(new2.quantize(-batch), old2.quantize(-batch))
+            if step == 4:
+                assert new.absorb(new2) == old.absorb(old2)
+            assert np.array_equal(new.codebook, old.codebook)
+            assert len(new) == len(old._codewords)
+
+    def test_duplicate_errors(self):
+        g = np.random.default_rng(11)
+        batch = np.repeat(np.round(g.normal(0, 1, (10, 2)), 1), 5, axis=0)
+        new, old = IncrementalQuantizer(1e-9), _ListQuantizer(1e-9)
+        assert np.array_equal(new.quantize(batch), old.quantize(batch))
+        assert np.array_equal(new.codebook, old.codebook)
 
 
 class TestFixedQuantizer:
