@@ -9,6 +9,15 @@ Subpackages:
   spark     -- distributed dataflow build + query execution.
   harness   -- one experiment harness per evaluation table (Tables 2-9).
 """
+import numpy as np
 
 DEG_TO_M = 111_000.0
 """Meters per degree (the paper's eps_1 = 0.001 deg ~= 111 m conversion)."""
+
+
+def deviation_deg(frame) -> np.ndarray:
+    """Per-row spatial deviation ||(x, y) - (xrec, yrec)||_2 of a frame with
+    those columns, in degrees."""
+    dx = frame["x"].to_numpy() - frame["xrec"].to_numpy()
+    dy = frame["y"].to_numpy() - frame["yrec"].to_numpy()
+    return np.sqrt(dx * dx + dy * dy)

@@ -33,6 +33,20 @@ def centroid(pts: np.ndarray) -> np.ndarray:
     return np.add.reduce(pts, axis=0) / len(pts)
 
 
+def farthest_first(pts: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """``k`` rows of ``pts`` (2-D, 1 <= k <= len) picked greedily farthest-first
+    (k-center maxmin): the first drawn by ``default_rng(seed)``, each next
+    one the point farthest from all picked so far."""
+    g = np.random.default_rng(seed)
+    picked = np.empty((k, pts.shape[1]))
+    picked[0] = pts[g.integers(0, len(pts))]
+    d2 = ((pts - picked[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        picked[j] = pts[int(np.argmax(d2))]
+        d2 = np.minimum(d2, ((pts - picked[j]) ** 2).sum(axis=1))
+    return picked
+
+
 def kmeans(
     pts: np.ndarray, k: int, *, seed: int = 0, iters: int = 10
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -49,13 +63,7 @@ def kmeans(
     if k == 1:
         c = pts.mean(axis=0, keepdims=True)
         return np.zeros(n, dtype=np.int64), c
-    g = np.random.default_rng(seed)
-    centroids = np.empty((k, pts.shape[1]))
-    centroids[0] = pts[g.integers(0, n)]
-    d2 = ((pts - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        centroids[j] = pts[int(np.argmax(d2))]
-        d2 = np.minimum(d2, ((pts - centroids[j]) ** 2).sum(axis=1))
+    centroids = farthest_first(pts, k, seed)
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(iters):
         new_labels = sq_dists(pts, centroids).argmin(axis=1)

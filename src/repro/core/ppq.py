@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro import DEG_TO_M
+from repro import DEG_TO_M, deviation_deg
 from repro.core.cqc import CQCCoder
 from repro.core.epq import EPQEngine
 from repro.core.partitioning import (
@@ -85,9 +85,7 @@ class Summary:
     # ---------------- quality ----------------
     def errors_m(self) -> np.ndarray:
         """Per-point deviation ||true - reconstructed||_2 in meters."""
-        dx = (self.coded.x - self.coded.xrec).to_numpy()
-        dy = (self.coded.y - self.coded.yrec).to_numpy()
-        return np.sqrt(dx * dx + dy * dy) * DEG_TO_M
+        return deviation_deg(self.coded) * DEG_TO_M
 
     def mae_m(self) -> float:
         """Mean absolute (Euclidean) error of the summary, meters."""

@@ -66,10 +66,6 @@ class History:
         out[found] = self._count[rows[found]]
         return out
 
-    def count(self, traj_id: int) -> int:
-        """Number of reconstructions pushed so far for ``traj_id``."""
-        return int(self.counts(np.array([traj_id]))[0])
-
     def warm_ids(self, ids: np.ndarray) -> np.ndarray:
         """Boolean mask over ``ids``: has a full k-length history."""
         return self.counts(ids) >= self.k
@@ -95,9 +91,3 @@ class History:
         self._buf[rows, 1:] = self._buf[rows, :-1]
         self._buf[rows, 0] = recon
         self._count[rows] += 1
-
-    def last(self, traj_id: int) -> np.ndarray | None:
-        """Most recent reconstruction for ``traj_id`` (or None)."""
-        if self.count(traj_id) == 0:
-            return None
-        return self.matrix(np.array([traj_id]))[0, 0]

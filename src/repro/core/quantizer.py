@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kmeans import grow_partition, kmeans, sq_dists
+from repro.core.kmeans import farthest_first, grow_partition, kmeans, sq_dists
 
 
 def nearest(codebook: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,17 +92,9 @@ class OnlineBudgetQuantizer:
 
     def fit_quantize(self, errs: np.ndarray) -> np.ndarray:
         errs = np.atleast_2d(np.asarray(errs, dtype=np.float64))
-        n = len(errs)
-        k = max(1, min(self.n_codewords, n))
-        g = np.random.default_rng(self.seed)
-        cents = np.empty((k, errs.shape[1]))
-        cents[0] = errs[g.integers(0, n)]
-        d2 = ((errs - cents[0]) ** 2).sum(axis=1)
-        for j in range(1, k):
-            cents[j] = errs[int(np.argmax(d2))]
-            d2 = np.minimum(d2, ((errs - cents[j]) ** 2).sum(axis=1))
-        self.codebook = cents
-        codes, _ = nearest(cents, errs)
+        k = max(1, min(self.n_codewords, len(errs)))
+        self.codebook = farthest_first(errs, k, self.seed)
+        codes, _ = nearest(self.codebook, errs)
         return codes
 
     def reconstruct(self, codes: np.ndarray) -> np.ndarray:

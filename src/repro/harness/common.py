@@ -1,11 +1,16 @@
 """Shared method builders for the table harnesses.
 
-A *method result* bundles the reconstruction frame (traj_id, t, x, y,
-xrec, yrec) produced by one summarization method plus its accounting
-(codewords, bits, build time) and query metadata (local-search radius for
-CQC methods).
+A *method result* bundles the reconstruction frame produced by one
+summarization method (traj_id, t, x, y, xrec, yrec, read by name; PPQ
+summaries carry their whole coded frame) plus its accounting (codewords,
+bits, build time) and query metadata (local-search radius for CQC
+methods).
 
-Three build protocols mirror the paper's three experimental regimes:
+Every protocol builds its methods with one loop, :func:`_suite`, over the
+method list, and passes only what differs: the ``run_ppq`` arguments of
+each PPQ-family method, the RQ/PQ arguments at timestamp t and TrajStore's
+``summarize`` arguments. The three protocols mirror the paper's three
+experimental regimes:
 
 * :func:`build_per_t_suite` (Tables 2/3): error-bounded per-timestamp
   codebooks for the PPQ family and E-PQ; the non-error-bounded baselines
@@ -27,12 +32,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pandas as pd
 
-from repro import DEG_TO_M
+from repro import DEG_TO_M, deviation_deg
 from repro.baselines.pq import product_quantize
 from repro.baselines.rq import residual_quantize
 from repro.baselines.trajstore import TrajStore, bounds_of
@@ -49,13 +55,19 @@ ALL_METHODS = PPQ_METHODS + [
 ]
 NO_TRAJSTORE = [m for m in ALL_METHODS if m != "TrajStore"]
 
+PER_T_QUANTIZERS = {
+    "Residual Quantization": residual_quantize,
+    "Product Quantization": product_quantize,
+}
+"""The batch baselines that quantize every timestamp on its own."""
+
 
 @dataclass
 class MethodResult:
     """One method's summary over one dataset."""
 
     method: str
-    recon: pd.DataFrame  # traj_id, t, x, y, xrec, yrec
+    recon: pd.DataFrame  # traj_id, t, x, y, xrec, yrec (at least)
     n_codewords: int
     build_seconds: float
     summary_bits: int
@@ -64,23 +76,17 @@ class MethodResult:
     summary: Summary | None = None
 
     def mae_m(self) -> float:
-        dx = (self.recon.x - self.recon.xrec).to_numpy()
-        dy = (self.recon.y - self.recon.yrec).to_numpy()
-        return float((np.sqrt(dx * dx + dy * dy) * DEG_TO_M).mean())
+        return float((deviation_deg(self.recon) * DEG_TO_M).mean())
 
     def compression_ratio(self) -> float:
         return (len(self.recon) * 2 * 64) / max(1, self.summary_bits)
 
 
-def _recon_frame(s: Summary) -> pd.DataFrame:
-    return s.coded[["traj_id", "t", "x", "y", "xrec", "yrec"]].copy()
-
-
-def _from_summary(method: str, s: Summary, cfg: ExpConfig) -> MethodResult:
+def _from_summary(method: str, s: Summary) -> MethodResult:
     radius = (math.sqrt(2) / 2) * s.config["gs"] if s.cqc is not None else 0.0
     return MethodResult(
         method=method,
-        recon=_recon_frame(s),
+        recon=s.coded,
         n_codewords=s.n_codewords(),
         build_seconds=s.build_seconds,
         summary_bits=s.summary_bits(),
@@ -102,62 +108,53 @@ def _ppq_kwargs(method: str, ds: DatasetCfg) -> dict:
     }[method]
 
 
-def _per_t_baseline(
-    points: pd.DataFrame,
-    fit,
-) -> tuple[pd.DataFrame, int, float, float]:
-    """Run a batch quantizer per timestamp. ``fit(xy, t) -> (recon, v,
-    bits_per_point)``. Returns (recon frame, codewords, seconds, bits)."""
+def _per_t_result(
+    method: str, points: pd.DataFrame, cfg: ExpConfig, args: Callable[[int], dict]
+) -> MethodResult:
+    """Run one of :data:`PER_T_QUANTIZERS` on every timestamp's points,
+    with ``args(t)`` its arguments at timestamp t."""
+    quantize = PER_T_QUANTIZERS[method]
     start = time.perf_counter()
     frames = []
     total_v = 0
     total_bits = 0.0
     for t, batch in points.sort_values("t").groupby("t", sort=True):
         xy = batch[["x", "y"]].to_numpy(dtype=np.float64)
-        rec, v, bpp = fit(xy, int(t))
-        total_v += v
-        total_bits += v * 2 * 32 + bpp * len(xy)
+        r = quantize(xy, seed=cfg.seed + int(t), **args(int(t)))
+        total_v += r.n_codewords
+        total_bits += r.n_codewords * 2 * 32 + r.code_bits_per_point * len(xy)
         frames.append(
-            pd.DataFrame(
-                {
-                    "traj_id": batch.traj_id.to_numpy(),
-                    "t": batch.t.to_numpy(),
-                    "x": xy[:, 0],
-                    "y": xy[:, 1],
-                    "xrec": rec[:, 0],
-                    "yrec": rec[:, 1],
-                }
+            batch[["traj_id", "t", "x", "y"]].assign(
+                xrec=r.recon[:, 0], yrec=r.recon[:, 1]
             )
         )
     secs = time.perf_counter() - start
-    return pd.concat(frames, ignore_index=True), total_v, secs, total_bits
+    recon = pd.concat(frames, ignore_index=True)
+    return MethodResult(method, recon, total_v, secs, int(total_bits))
 
 
-def _trajstore_result(
-    points: pd.DataFrame,
-    cfg: ExpConfig,
-    *,
-    eps: float | None = None,
-    total_codewords: int | None = None,
-) -> MethodResult:
+def load_trajstore(points: pd.DataFrame, cfg: ExpConfig) -> TrajStore:
+    """A TrajStore over ``points``, streamed in one timestep at a time."""
     xy_all = points[["x", "y"]].to_numpy(dtype=np.float64)
     store = TrajStore(
         bounds_of(xy_all), cell_capacity=cfg.trajstore_capacity, seed=cfg.seed
     )
-    for t, batch in points.sort_values("t").groupby("t", sort=True):
+    for _t, batch in points.sort_values("t").groupby("t", sort=True):
         store.insert_batch(
             batch.traj_id.to_numpy(),
             batch.t.to_numpy(),
             batch[["x", "y"]].to_numpy(dtype=np.float64),
         )
-    summ = store.summarize(eps=eps, total_codewords=total_codewords)
+    return store
+
+
+def _trajstore_result(points: pd.DataFrame, cfg: ExpConfig, args: dict) -> MethodResult:
+    store = load_trajstore(points, cfg)
+    summ = store.summarize(**args)
     rec = summ.reconstruct(points.traj_id.to_numpy(), points.t.to_numpy())
-    recon = points[["traj_id", "t", "x", "y"]].copy()
-    recon["xrec"] = rec[:, 0]
-    recon["yrec"] = rec[:, 1]
     return MethodResult(
         method="TrajStore",
-        recon=recon,
+        recon=points[["traj_id", "t", "x", "y"]].assign(xrec=rec[:, 0], yrec=rec[:, 1]),
         n_codewords=summ.n_codewords,
         build_seconds=store.build_seconds,
         summary_bits=summ.summary_bits(),
@@ -165,6 +162,36 @@ def _trajstore_result(
 
 
 # ---------------------------------------------------------------- suites
+def _suite(
+    points: pd.DataFrame,
+    cfg: ExpConfig,
+    ds: DatasetCfg,
+    methods: list[str],
+    *,
+    ppq: Callable[[str], dict],
+    quantize: Callable[[int], dict],
+    trajstore: dict | None,
+) -> dict[str, MethodResult]:
+    """Build every method of ``methods`` under one protocol.
+
+    ``ppq(method)`` gives a PPQ-family method's ``run_ppq`` arguments beside
+    its variant flags and the seed, ``quantize(t)`` the RQ/PQ arguments at
+    timestamp t, and ``trajstore`` TrajStore's ``summarize`` arguments
+    (None for a protocol without a TrajStore row).
+    """
+    out: dict[str, MethodResult] = {}
+    for m in methods:
+        if m in PER_T_QUANTIZERS:
+            out[m] = _per_t_result(m, points, cfg, quantize)
+        elif m == "TrajStore":
+            if trajstore is not None:
+                out[m] = _trajstore_result(points, cfg, trajstore)
+        else:
+            s = run_ppq(points, **_ppq_kwargs(m, ds), seed=cfg.seed, **ppq(m))
+            out[m] = _from_summary(m, s)
+    return out
+
+
 def build_per_t_suite(
     points: pd.DataFrame,
     cfg: ExpConfig,
@@ -174,62 +201,24 @@ def build_per_t_suite(
 ) -> dict[str, MethodResult]:
     """Table 2/3 protocol (see module docstring)."""
     methods = methods or ALL_METHODS
-    out: dict[str, MethodResult] = {}
+    per_t = dict(eps1=cfg.eps1, gs=cfg.gs, codebook_mode="per_t")
     # reference run: PPQ-A error-bounded per-timestamp codebooks
-    ref = run_ppq(
+    ref = run_ppq(points, **_ppq_kwargs("PPQ-A", ds), seed=cfg.seed, **per_t)
+    v_t: dict[int, int] = {}  # the reference's codewords per timestamp
+    for (_pid, t), cb in ref.codebooks_t.items():
+        v_t[t] = v_t.get(t, 0) + len(cb)
+    same_v = dict(eps1=cfg.eps1, gs=cfg.gs, codebook_mode="fixed", budget=v_t)
+    out = _suite(
         points,
-        **_ppq_kwargs("PPQ-A", ds),
-        eps1=cfg.eps1,
-        gs=cfg.gs,
-        seed=cfg.seed,
-        codebook_mode="per_t",
+        cfg,
+        ds,
+        [m for m in methods if m != "PPQ-A"],
+        ppq=lambda m: same_v if m == "Q-trajectory" else per_t,
+        quantize=lambda t: dict(n_codewords=max(2, v_t.get(t, 1))),
+        trajstore=dict(total_codewords=max(1, sum(v_t.values()))),
     )
-    v_t = _per_t_sizes(ref)
     if "PPQ-A" in methods:
-        out["PPQ-A"] = _from_summary("PPQ-A", ref, cfg)
-    for m in ("PPQ-A-basic", "PPQ-S", "PPQ-S-basic", "E-PQ"):
-        if m not in methods:
-            continue
-        s = run_ppq(
-            points,
-            **_ppq_kwargs(m, ds),
-            eps1=cfg.eps1,
-            gs=cfg.gs,
-            seed=cfg.seed,
-            codebook_mode="per_t",
-        )
-        out[m] = _from_summary(m, s, cfg)
-    if "Q-trajectory" in methods:
-        s = run_ppq(
-            points,
-            **_ppq_kwargs("Q-trajectory", ds),
-            eps1=cfg.eps1,
-            gs=cfg.gs,
-            seed=cfg.seed,
-            codebook_mode="fixed",
-            budget=v_t,
-        )
-        out["Q-trajectory"] = _from_summary("Q-trajectory", s, cfg)
-    if "Residual Quantization" in methods:
-        recon, v, secs, bits = _per_t_baseline(
-            points,
-            lambda xy, t: _rq_fit(xy, v_t.get(t, 1), cfg.seed + t),
-        )
-        out["Residual Quantization"] = MethodResult(
-            "Residual Quantization", recon, v, secs, int(bits)
-        )
-    if "Product Quantization" in methods:
-        recon, v, secs, bits = _per_t_baseline(
-            points,
-            lambda xy, t: _pq_fit(xy, v_t.get(t, 1), cfg.seed + t),
-        )
-        out["Product Quantization"] = MethodResult(
-            "Product Quantization", recon, v, secs, int(bits)
-        )
-    if "TrajStore" in methods:
-        out["TrajStore"] = _trajstore_result(
-            points, cfg, total_codewords=max(1, sum(v_t.values()))
-        )
+        out["PPQ-A"] = _from_summary("PPQ-A", ref)
     return out
 
 
@@ -242,37 +231,17 @@ def build_fixed_bits_suite(
     methods: list[str] | None = None,
 ) -> dict[str, MethodResult]:
     """Table 4 protocol: 2**bits codewords per timestamp for everyone."""
-    methods = methods or NO_TRAJSTORE
     v = 2**bits
-    out: dict[str, MethodResult] = {}
-    for m in ("PPQ-A", "PPQ-A-basic", "PPQ-S", "PPQ-S-basic", "E-PQ", "Q-trajectory"):
-        if m not in methods:
-            continue
-        s = run_ppq(
-            points,
-            **_ppq_kwargs(m, ds),
-            eps1=cfg.eps1,
-            gs=cfg.gs,
-            seed=cfg.seed,
-            codebook_mode="fixed",
-            budget=v,
-        )
-        out[m] = _from_summary(m, s, cfg)
-    if "Residual Quantization" in methods:
-        recon, tv, secs, b = _per_t_baseline(
-            points, lambda xy, t: _rq_fit(xy, v, cfg.seed + t)
-        )
-        out["Residual Quantization"] = MethodResult(
-            "Residual Quantization", recon, tv, secs, int(b)
-        )
-    if "Product Quantization" in methods:
-        recon, tv, secs, b = _per_t_baseline(
-            points, lambda xy, t: _pq_fit(xy, v, cfg.seed + t)
-        )
-        out["Product Quantization"] = MethodResult(
-            "Product Quantization", recon, tv, secs, int(b)
-        )
-    return out
+    fixed = dict(eps1=cfg.eps1, gs=cfg.gs, codebook_mode="fixed", budget=v)
+    return _suite(
+        points,
+        cfg,
+        ds,
+        methods or NO_TRAJSTORE,
+        ppq=lambda m: fixed,
+        quantize=lambda t: dict(n_codewords=max(2, v)),
+        trajstore=None,
+    )
 
 
 def build_bounded_suite(
@@ -285,72 +254,23 @@ def build_bounded_suite(
 ) -> dict[str, MethodResult]:
     """Table 5/6 protocol: online error-bounded summaries at a target
     spatial deviation (meters)."""
-    methods = methods or ALL_METHODS
-    out: dict[str, MethodResult] = {}
     dev = deviation_m / DEG_TO_M
-    for m in ("PPQ-A", "PPQ-S"):
-        if m not in methods:
-            continue
-        # paper: eps1^M = 2*g_s, final deviation = (sqrt(2)/2) * g_s
-        gs = deviation_m * math.sqrt(2) / DEG_TO_M
-        s = run_ppq(
-            points, **_ppq_kwargs(m, ds), eps1=2 * gs, gs=gs, seed=cfg.seed
-        )
-        out[m] = _from_summary(m, s, cfg)
-    for m in ("PPQ-A-basic", "PPQ-S-basic", "E-PQ"):
-        if m not in methods:
-            continue
-        s = run_ppq(points, **_ppq_kwargs(m, ds), eps1=dev, gs=None, seed=cfg.seed)
-        out[m] = _from_summary(m, s, cfg)
-    if "Q-trajectory" in methods:
-        s = run_ppq(
-            points, **_ppq_kwargs("Q-trajectory", ds), eps1=dev, gs=None,
-            seed=cfg.seed, codebook_mode="per_t",
-        )
-        out["Q-trajectory"] = _from_summary("Q-trajectory", s, cfg)
-    if "Residual Quantization" in methods:
-        recon, v, secs, bits = _per_t_baseline(
-            points, lambda xy, t: _rq_eps_fit(xy, dev, cfg.seed + t)
-        )
-        out["Residual Quantization"] = MethodResult(
-            "Residual Quantization", recon, v, secs, int(bits)
-        )
-    if "Product Quantization" in methods:
-        recon, v, secs, bits = _per_t_baseline(
-            points, lambda xy, t: _pq_eps_fit(xy, dev, cfg.seed + t)
-        )
-        out["Product Quantization"] = MethodResult(
-            "Product Quantization", recon, v, secs, int(bits)
-        )
-    if "TrajStore" in methods:
-        out["TrajStore"] = _trajstore_result(points, cfg, eps=dev)
-    return out
+    # paper: eps1^M = 2*g_s, final deviation = (sqrt(2)/2) * g_s
+    gs = deviation_m * math.sqrt(2) / DEG_TO_M
 
+    def ppq(m: str) -> dict:
+        if m in ("PPQ-A", "PPQ-S"):
+            return dict(eps1=2 * gs, gs=gs)
+        if m == "Q-trajectory":
+            return dict(eps1=dev, codebook_mode="per_t")
+        return dict(eps1=dev)
 
-# ---------------------------------------------------------------- helpers
-def _per_t_sizes(s: Summary) -> dict[int, int]:
-    """Total codewords per timestamp of a per-t summary."""
-    v_t: dict[int, int] = {}
-    for (_pid, t), cb in s.codebooks_t.items():
-        v_t[t] = v_t.get(t, 0) + len(cb)
-    return v_t
-
-
-def _rq_fit(xy: np.ndarray, v: int, seed: int):
-    r = residual_quantize(xy, n_codewords=max(2, v), seed=seed)
-    return r.recon, r.n_codewords, r.code_bits_per_point
-
-
-def _pq_fit(xy: np.ndarray, v: int, seed: int):
-    r = product_quantize(xy, n_codewords=max(2, v), seed=seed)
-    return r.recon, r.n_codewords, r.code_bits_per_point
-
-
-def _rq_eps_fit(xy: np.ndarray, eps_deg: float, seed: int):
-    r = residual_quantize(xy, eps=eps_deg, seed=seed)
-    return r.recon, r.n_codewords, r.code_bits_per_point
-
-
-def _pq_eps_fit(xy: np.ndarray, eps_deg: float, seed: int):
-    r = product_quantize(xy, eps=eps_deg, seed=seed)
-    return r.recon, r.n_codewords, r.code_bits_per_point
+    return _suite(
+        points,
+        cfg,
+        ds,
+        methods or ALL_METHODS,
+        ppq=ppq,
+        quantize=lambda t: dict(eps=dev),
+        trajstore=dict(eps=dev),
+    )

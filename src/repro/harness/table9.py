@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pandas as pd
 
-from repro.baselines.trajstore import TrajStore, bounds_of
+from repro.harness.common import load_trajstore
 from repro.harness.config import ExpConfig
 from repro.index.disk import (
     PageStore,
@@ -44,18 +44,6 @@ def _build_pis(points: pd.DataFrame, cfg: ExpConfig) -> tuple[dict, float]:
             seed=cfg.seed + int(t),
         )
     return pis, time.perf_counter() - start
-
-
-def _build_trajstore(points: pd.DataFrame, cfg: ExpConfig) -> TrajStore:
-    xy = points[["x", "y"]].to_numpy(dtype=np.float64)
-    store = TrajStore(bounds_of(xy), cell_capacity=cfg.trajstore_capacity, seed=cfg.seed)
-    for t, batch in points.sort_values("t").groupby("t", sort=True):
-        store.insert_batch(
-            batch.traj_id.to_numpy(),
-            batch.t.to_numpy(),
-            batch[["x", "y"]].to_numpy(dtype=np.float64),
-        )
-    return store
 
 
 def run(cfg: ExpConfig, *, page_bytes: int = 1024) -> pd.DataFrame:
@@ -100,7 +88,7 @@ def run(cfg: ExpConfig, *, page_bytes: int = 1024) -> pd.DataFrame:
         rows.append(_row(ds.name, "PI", pi_mb, pi_ios, pi_resp, pi_build))
 
         # --- TrajStore
-        store = _build_trajstore(points, cfg)
+        store = load_trajstore(points, cfg)
         st = PageStore(page_bytes=page_bytes)
         layout_trajstore(store, st)
         t0 = time.perf_counter()

@@ -40,10 +40,6 @@ class PageStore:
         last = (self._pos - 1) // self.page_bytes
         self.key_pages.setdefault(key, set()).update(range(first, last + 1))
 
-    @property
-    def n_pages(self) -> int:
-        return (self._pos + self.page_bytes - 1) // self.page_bytes
-
     def pages_of(self, key: object) -> set[int]:
         return self.key_pages.get(key, set())
 
@@ -99,12 +95,9 @@ def tpi_query_ios(tpi, store: PageStore, queries: np.ndarray) -> IOCount:
         p = tpi.period_for(int(t))
         if p is None:
             continue
-        pidx = tpi.periods.index(p)
-        for ri, r in enumerate(p.pi.rects):
-            if r.contains(x, y):
-                key = p.pi.cell_of(ri, x, y)
-                pages |= store.pages_of(("tpi", pidx, key[0], key[1], key[2]))
-                break
+        key = p.pi.cell_key(x, y)
+        if key is not None:
+            pages |= store.pages_of(("tpi", tpi.periods.index(p), *key))
     return IOCount(total_ios=len(pages), n_queries=len(queries))
 
 
@@ -115,11 +108,9 @@ def pi_query_ios(pis: dict[int, object], store: PageStore, queries: np.ndarray) 
         pi = pis.get(int(t))
         if pi is None:
             continue
-        for ri, r in enumerate(pi.rects):
-            if r.contains(x, y):
-                key = pi.cell_of(ri, x, y)
-                pages |= store.pages_of(("pi", int(t), key[0], key[1], key[2]))
-                break
+        key = pi.cell_key(x, y)
+        if key is not None:
+            pages |= store.pages_of(("pi", int(t), *key))
     return IOCount(total_ios=len(pages), n_queries=len(queries))
 
 

@@ -62,6 +62,15 @@ class PI:
         r = self.rects[ri]
         return (ri, int((x - r.x0) // self.gc), int((y - r.y0) // self.gc))
 
+    def cell_key(self, x: float, y: float) -> CellKey | None:
+        """Key of the grid cell containing (x, y), None when no rectangle
+        covers it. A scalar scan: one query point costs less this way than
+        the array setup of ``rect_of``."""
+        for ri, r in enumerate(self.rects):
+            if r.contains(x, y):
+                return self.cell_of(ri, x, y)
+        return None
+
     # ---------------- maintenance ----------------
     def add_points(
         self, t: int, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray
@@ -103,11 +112,8 @@ class PI:
     # ---------------- queries ----------------
     def query(self, x: float, y: float, t: int) -> np.ndarray:
         """IDs in the grid cell containing (x, y) at time t (STRQ core)."""
-        for ri, r in enumerate(self.rects):
-            if r.contains(x, y):
-                enc = self.cells.get(self.cell_of(ri, x, y), {}).get(t)
-                return decode_ids(enc) if enc else np.zeros(0, dtype=np.int64)
-        return np.zeros(0, dtype=np.int64)
+        enc = self.cells.get(self.cell_key(x, y), {}).get(t)
+        return decode_ids(enc) if enc else np.zeros(0, dtype=np.int64)
 
     def query_circle(self, x: float, y: float, t: int, radius: float) -> np.ndarray:
         """IDs in every cell overlapping the circle (local search, §5.2)."""

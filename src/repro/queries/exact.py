@@ -13,13 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro import DEG_TO_M
+from repro import deviation_deg
 
 
 def max_error_radius_deg(recon: pd.DataFrame) -> float:
     """Worst-case reconstruction deviation of a summary, in degrees."""
-    err = np.sqrt((recon.x - recon.xrec) ** 2 + (recon.y - recon.yrec) ** 2)
-    return float(err.max())
+    return float(deviation_deg(recon).max())
 
 
 def visited_ratio(
@@ -46,8 +45,3 @@ def visited_ratio(
         cand = int((dx * dx + dy * dy <= radius_deg * radius_deg).sum())
         ratios.append(cand / len(frame))
     return float(np.mean(ratios))
-
-
-def radius_m(recon: pd.DataFrame) -> float:
-    """Worst-case deviation in meters (for reporting)."""
-    return max_error_radius_deg(recon) * DEG_TO_M

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro import DEG_TO_M
+from repro import DEG_TO_M, deviation_deg
 
 
 def sample_path_queries(
@@ -38,9 +38,7 @@ def tpq_mae_km(
 
     ``recon``: traj_id, t, x, y, xrec, yrec.
     """
-    err = np.sqrt(
-        (recon.x - recon.xrec) ** 2 + (recon.y - recon.yrec) ** 2
-    ).to_numpy() * DEG_TO_M
+    err = deviation_deg(recon) * DEG_TO_M
     keyed = pd.DataFrame(
         {"traj_id": recon.traj_id.to_numpy(), "t": recon.t.to_numpy(), "err": err}
     )

@@ -170,8 +170,3 @@ def sub_porto(
 def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     """Lift a points frame into Spark with the canonical schema."""
     return spark.createDataFrame(pdf, schema=POINT_SCHEMA)
-
-
-def active_at(pdf: pd.DataFrame, t: int) -> pd.DataFrame:
-    """Points of trajectories active at timestamp ``t`` (the paper's T^t)."""
-    return pdf[pdf.t == t]

@@ -22,8 +22,7 @@ class TestPageStore:
     def test_single_small_write_one_page(self):
         st = PageStore(page_bytes=100)
         st.write("a", 10)
-        assert st.pages_of("a") == {0}
-        assert st.n_pages == 1
+        assert st.key_pages == {"a": {0}}
 
     def test_large_write_spans_pages(self):
         st = PageStore(page_bytes=100)
@@ -55,6 +54,10 @@ class TestPageStore:
         assert 0 in st.pages_of("a") and 2 in st.pages_of("a")
 
 
+def _pages_written(st: PageStore) -> int:
+    return len(set().union(*st.key_pages.values()))
+
+
 def _points(n_traj=40, n_steps=8, seed=0):
     g = np.random.default_rng(seed)
     base = g.random((n_traj, 2))
@@ -79,7 +82,7 @@ class TestLayouts:
         io = tpi_query_ios(tpi, st, q)
         assert io.n_queries == 30
         assert io.total_ios >= 1
-        assert io.total_ios <= st.n_pages
+        assert io.total_ios <= _pages_written(st)
 
     def test_pi_layout_and_query(self):
         pts = _points()
@@ -93,7 +96,7 @@ class TestLayouts:
         layout_pis(pis, st)
         q = pts[["x", "y", "t"]].to_numpy()[:30]
         io = pi_query_ios(pis, st, q)
-        assert 1 <= io.total_ios <= st.n_pages
+        assert 1 <= io.total_ios <= _pages_written(st)
 
     def test_trajstore_reads_whole_cell(self):
         pts = _points()

@@ -66,9 +66,8 @@ class TestPredict:
 class TestHistory:
     def test_cold_start(self):
         h = History(k=2)
-        assert h.count(0) == 0
+        assert h.counts(np.array([0])).tolist() == [0]
         assert not h.warm_ids(np.array([0])).any()
-        assert h.last(0) is None
 
     def test_warm_after_k_pushes(self):
         h = History(k=2)
@@ -97,8 +96,7 @@ class TestHistory:
     def test_independent_trajectories(self):
         h = History(k=1)
         h.push(np.array([1, 2]), np.array([[1.0, 1.0], [2.0, 2.0]]))
-        assert h.last(1)[0] == 1.0
-        assert h.last(2)[0] == 2.0
+        assert h.matrix(np.array([1, 2]))[:, 0, 0].tolist() == [1.0, 2.0]
 
     def test_mixed_warm_mask(self):
         h = History(k=1)
@@ -114,7 +112,7 @@ class TestHistory:
         m = h.matrix(np.array([10, 30]))
         assert m[:, :, 0].tolist() == [[1.5, 1.0], [3.5, 3.0]]
         assert h.counts(np.array([10, 20, 30])).tolist() == [2, 1, 2]
-        assert h.last(20).tolist() == [2.0, 2.0]
+        assert h.matrix(np.array([20]))[0, 0].tolist() == [2.0, 2.0]
 
     def test_sparse_large_ids(self):
         h = History(k=2)
@@ -131,8 +129,7 @@ class TestHistory:
         h = History(k=2)
         h.push(np.array([5, 9]), np.array([[1.0, 1.0], [2.0, 2.0]]))
         for unknown in (0, 7, 100):
-            assert h.count(unknown) == 0
-            assert h.last(unknown) is None
+            assert h.counts(np.array([unknown])).tolist() == [0]
         assert h.counts(np.array([0, 5, 7, 9, 100])).tolist() == [0, 1, 0, 1, 0]
 
     def test_matrix_rows_follow_id_order(self):

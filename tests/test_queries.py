@@ -7,7 +7,7 @@ import pytest
 
 from repro import DEG_TO_M
 from repro.core.ppq import run_ppq
-from repro.queries.exact import max_error_radius_deg, radius_m, visited_ratio
+from repro.queries.exact import max_error_radius_deg, visited_ratio
 from repro.queries.strq import (
     cell_of,
     evaluate_strq,
@@ -153,7 +153,6 @@ class TestTPQ:
 class TestExact:
     def test_perfect_summary_zero_radius(self, recon_exact):
         assert max_error_radius_deg(recon_exact) == 0.0
-        assert radius_m(recon_exact) == 0.0
 
     def test_ratio_bounded(self, recon_exact):
         qs = sample_queries(recon_exact, 20, seed=6)

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro import DEG_TO_M
-from repro.trajgen import active_at, geolife_lite, porto_lite, sub_porto
+from repro.trajgen import geolife_lite, porto_lite, sub_porto
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +53,6 @@ class TestTimeline:
 
     def test_variable_lengths(self, porto):
         assert porto.groupby("traj_id").size().nunique() > 1
-
-    def test_active_at(self, porto):
-        a = active_at(porto, 1)
-        assert len(a) == porto.traj_id.nunique()
-        assert (a.t == 1).all()
 
 
 class TestGeometry:
