@@ -3,9 +3,11 @@
 ``EPQEngine`` consumes one timestep batch at a time: fit the shared
 prediction coefficients P[t] on the active trajectories' reconstructed
 histories, quantize the prediction errors, reconstruct, and push the
-reconstructions back into the history (Alg. 1 lines 3-7). It is used
-standalone (the paper's E-PQ baseline: one partition) and as the
-per-partition engine inside PPQ.
+reconstructions back into the history (Alg. 1 lines 3-7). It is the
+per-partition engine inside PPQ; the paper's E-PQ baseline is
+``run_ppq(mode=None)``, one partition. A step returns what it fitted --
+the coefficients and, outside global mode, the step's codebook -- and
+``run_ppq`` files them under (partition, t).
 
 Codebook modes:
   * ``global``  -- one incremental error-bounded codebook across all time
@@ -15,8 +17,8 @@ Codebook modes:
   * ``fixed``   -- a fresh fixed-size codebook per timestamp, sized by
                    the ``budget`` passed to ``step`` (Table 4's 5-9 bit
                    budgets). No error bound. With prediction it is
-                   k-means; without (Q-trajectory) it is the single-pass
-                   online quantizer.
+                   k-means; without (Q-trajectory) it is a single-pass
+                   farthest-first codebook.
 """
 from __future__ import annotations
 
@@ -24,12 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.kmeans import farthest_first, kmeans
 from repro.core.predictor import DEFAULT_K, History, fit_coeffs, predict
-from repro.core.quantizer import (
-    FixedQuantizer,
-    IncrementalQuantizer,
-    OnlineBudgetQuantizer,
-)
+from repro.core.quantizer import IncrementalQuantizer, nearest
 
 
 @dataclass
@@ -39,6 +38,7 @@ class StepResult:
     codes: np.ndarray  # codeword index per point (engine-local codebook id)
     recon: np.ndarray  # (n, 2) codebook reconstruction That
     pred: np.ndarray  # (n, 2) prediction Ttilde
+    coeffs: np.ndarray  # (k,) prediction coefficients P[t] (zeros if none)
     codebook_t: np.ndarray | None = None  # per-step codebook (per_t/fixed)
 
 
@@ -64,8 +64,6 @@ class EPQEngine:
         self.history = history if history is not None else History(k)
         self.codebook_mode = codebook_mode
         self.quantizer = IncrementalQuantizer(eps1, seed=seed)
-        self.coeffs: dict[int, np.ndarray] = {}
-        self.codebooks_t: dict[int, np.ndarray] = {}  # per_t / fixed modes
 
     def step(
         self, t: int, ids: np.ndarray, pts: np.ndarray, *, budget: int | None = None
@@ -92,7 +90,6 @@ class EPQEngine:
             ramp = cold[self.history.counts(ids[cold]) > 0]
             if len(ramp):
                 pred[ramp] = self.history.matrix(ids[ramp])[:, 0]
-        self.coeffs[t] = coeffs
         errs = pts - pred
 
         if self.codebook_mode == "global":
@@ -104,18 +101,20 @@ class EPQEngine:
             codes = q.quantize(errs)
             recon = pred + q.reconstruct(codes)
             cb_t = q.codebook
-            self.codebooks_t[t] = cb_t
         else:  # fixed
             if budget is None:
                 raise ValueError("fixed mode needs a codeword budget")
-            # Without prediction this is Q-trajectory, an online quantizer
-            # that cannot iterate over the data: single-pass codebook.
-            cls = FixedQuantizer if self.predict_enabled else OnlineBudgetQuantizer
-            q = cls(max(1, budget), seed=self.seed + t)
-            codes = q.fit_quantize(errs)
-            recon = pred + q.reconstruct(codes)
-            cb_t = q.codebook
-            self.codebooks_t[t] = cb_t
+            if self.predict_enabled:
+                codes, cb_t = kmeans(errs, budget, seed=self.seed + t)
+            else:
+                # Without prediction this is Q-trajectory, an online quantizer
+                # that cannot iterate over the data: single-pass codebook,
+                # picked farthest-first from the batch, no Lloyd refinement.
+                cb_t = farthest_first(errs, max(1, min(budget, n)), self.seed + t)
+                codes, _ = nearest(cb_t, errs)
+            recon = pred + cb_t[codes]
 
         self.history.push(ids, recon)
-        return StepResult(codes=codes, recon=recon, pred=pred, codebook_t=cb_t)
+        return StepResult(
+            codes=codes, recon=recon, pred=pred, coeffs=coeffs, codebook_t=cb_t
+        )

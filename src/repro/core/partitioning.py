@@ -80,8 +80,12 @@ class UpdateStats:
     n_carried: int = 0
     n_new_partitions: int = 0
     n_resplit_partitions: int = 0
-    n_merges: int = 0
     q: int = 0
+    merges: list[tuple[int, int]] = field(default_factory=list)  # (src, dst)
+
+    @property
+    def n_merges(self) -> int:
+        return len(self.merges)
 
 
 @dataclass
@@ -100,12 +104,6 @@ class IncrementalPartitioner:
     _pids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     _centroids: dict[int, np.ndarray] = field(default_factory=dict)
     _next_pid: int = 0
-    merge_events: list[tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def q(self) -> int:
-        """Current number of live partitions."""
-        return len(self._centroids)
 
     def update(self, ids: np.ndarray, feats: np.ndarray) -> tuple[np.ndarray, UpdateStats]:
         """Assign the points active now; returns (pids per point, stats)."""
@@ -159,24 +157,20 @@ class IncrementalPartitioner:
         live_sorted = np.unique(pids).tolist()
 
         # Step 3 -- merge near-duplicate partitions; each target absorbs
-        # at most one source per update.
-        merged_into: set[int] = set()
+        # at most one source per update: it stops at its first merge, and
+        # it precedes its sources in pid order, so it is never one itself.
         removed: set[int] = set()
         for a_i, pa in enumerate(live_sorted):
             if pa in removed:
                 continue
             for pb in live_sorted[a_i + 1 :]:
-                if pa in merged_into:
-                    break
-                if pb in removed or pb in merged_into:
+                if pb in removed:
                     continue
                 d = np.linalg.norm(self._centroids[pa] - self._centroids[pb])
                 if d <= self.eps_p:
                     pids[pids == pb] = pa
                     removed.add(pb)
-                    merged_into.add(pa)
-                    self.merge_events.append((pb, pa))
-                    stats.n_merges += 1
+                    stats.merges.append((pb, pa))
                     self._centroids[pa] = centroid(feats[pids == pa])
                     break
         for pid in removed:

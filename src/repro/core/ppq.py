@@ -63,13 +63,13 @@ class Summary:
     (xrec, yrec) -- identical when CQC is disabled. The summary *storage*
     is the codebooks + coefficients + per-point code indexes + CQC codes;
     the reconstruction columns are what the encoder computed, materialised
-    for convenience. They are meant to be a pure function of the stored
-    parts, but no test decodes them from those parts alone: the tests that
-    compare them derive the prediction from ``xhat`` itself. In global
-    codebook mode they are not such a function yet: a partition merge
-    rewrites a row's (pid, code) to the merge target, but the row was
-    predicted with the source partition's coefficients, and
-    ``coeffs[(pid, t)]`` holds the target's.
+    for convenience. ``run_ppq`` files each coefficient vector and per-t
+    codebook under the (pid, t) of the partition step that fitted it. The
+    columns are meant to be a pure function of the stored parts, but no
+    test decodes them from those parts alone, and one defect remains: in
+    global codebook mode ``_apply_code_remap`` rewrites the ``pid`` of a
+    merged-away partition's rows to the merge target's, so a remapped
+    ``pid`` no longer keys the coefficients its row was predicted with.
     """
 
     coded: pd.DataFrame
@@ -199,10 +199,12 @@ def run_ppq(
     shared_history = History(k)
     partitioner = IncrementalPartitioner(eps_p=eps_p, seed=seed) if mode else None
     engines: dict[int, EPQEngine] = {}
-    retired_engines: dict[int, EPQEngine] = {}  # per_t/fixed history keeper
     code_remap: dict[int, tuple[int, int]] = {}  # src pid -> (dst pid, offset)
     ar_state = _ARState(np.unique(traj), k) if mode == "A" else None
     part_stats: list[UpdateStats] = []
+    # the stored parts, each written at the step that fits it
+    codebooks_t: dict[tuple[int, int], np.ndarray] = {}
+    coeffs: dict[tuple[int, int], np.ndarray] = {}
 
     # per-point outputs, in the sorted row order
     pid_out = np.zeros(n, dtype=np.int64)
@@ -224,29 +226,21 @@ def run_ppq(
             feats = None
 
         if partitioner is not None:
-            n_merges_before = len(partitioner.merge_events)
             pids, stats = partitioner.update(ids, feats)
             part_stats.append(stats)
             # Partition merges carry their codebooks along (Section 3.2.2):
             # in global-codebook mode the target quantizer absorbs the
             # source's codewords and the source's already-emitted codes are
-            # remapped at the end. In per-t / fixed modes codes reference
-            # (pid, t) codebooks, so the source engine is simply retired.
-            for src, dst in partitioner.merge_events[n_merges_before:]:
-                src_eng = engines.pop(src, None)
-                if src_eng is None:
-                    continue
-                if codebook_mode != "global":
-                    retired_engines[src] = src_eng
-                    continue
-                dst_eng = engines.get(dst)
-                if dst_eng is None:
-                    engines[dst] = src_eng  # target had no engine: adopt
-                    code_remap[src] = (dst, 0)
-                    continue
-                offset = dst_eng.quantizer.absorb(src_eng.quantizer)
-                code_remap[src] = (dst, offset)
-                retired_engines[src] = src_eng
+            # remapped at the end. A source split off in this same update
+            # has coded nothing and has no engine; any other source merges
+            # into a lower, older pid, which has one. In per-t / fixed
+            # modes codes reference (pid, t) codebooks, which a merge
+            # leaves as they are.
+            if codebook_mode == "global":
+                for src, dst in stats.merges:
+                    if src in engines:
+                        src_q = engines.pop(src).quantizer
+                        code_remap[src] = (dst, engines[dst].quantizer.absorb(src_q))
             pid_out[lo:hi] = pids
         else:
             pids = pid_out[lo:hi]
@@ -256,9 +250,7 @@ def run_ppq(
         uniq, rows, bounds = group_rows(pids)
         bt = budget.get(t) if isinstance(budget, dict) else budget
         budgets = _split_budget(bt, uniq, np.diff(bounds))
-        ids_p, xy_p = ids[rows], xy[rows]
-        codes_p = np.empty(len(rows), dtype=np.int64)
-        recon_p = np.empty((len(rows), 2))
+        ids_p, xy_p, out_p = ids[rows], xy[rows], lo + rows
         for pid, a, b in zip(uniq.tolist(), bounds[:-1], bounds[1:]):
             engine = engines.get(pid)
             if engine is None:
@@ -272,10 +264,11 @@ def run_ppq(
                 )
                 engines[pid] = engine
             res = engine.step(t, ids_p[a:b], xy_p[a:b], budget=budgets.get(pid))
-            codes_p[a:b] = res.codes
-            recon_p[a:b] = res.recon
-        code_out[lo + rows] = codes_p
-        recon_out[lo + rows] = recon_p
+            coeffs[(pid, t)] = res.coeffs
+            if res.codebook_t is not None:
+                codebooks_t[(pid, t)] = res.codebook_t
+            code_out[out_p[a:b]] = res.codes
+            recon_out[out_p[a:b]] = res.recon
         recon = recon_out[lo:hi]
 
         if cqc is not None:
@@ -287,8 +280,7 @@ def run_ppq(
         if mode == "A":
             ar_state.push(ids, xy)
 
-    if code_remap:
-        _apply_code_remap(pid_out, code_out, code_remap)
+    _apply_code_remap(pid_out, code_out, code_remap)
     coded = pd.DataFrame(
         {
             "traj_id": traj,
@@ -304,27 +296,11 @@ def run_ppq(
             "cqc": cqc_out,
         }
     )
-    codebooks: dict[int, np.ndarray] = {}
-    codebooks_t: dict[tuple[int, int], np.ndarray] = {}
-    coeffs: dict[tuple[int, int], np.ndarray] = {}
-    for pid, eng in engines.items():
-        if codebook_mode == "global":
-            codebooks[pid] = eng.quantizer.codebook
-        else:
-            for t, cb in eng.codebooks_t.items():
-                codebooks_t[(pid, t)] = cb
-        for t, c in eng.coeffs.items():
-            coeffs[(pid, t)] = c
-    for pid, eng in retired_engines.items():
-        # per-t/fixed codebooks of merged-away partitions are still
-        # referenced by old codes; global-mode retired codebooks were
-        # absorbed into their merge target.
-        if codebook_mode != "global":
-            for t, cb in eng.codebooks_t.items():
-                codebooks_t[(pid, t)] = cb
-        for t, c in eng.coeffs.items():
-            coeffs.setdefault((pid, t), c)
-
+    codebooks = (
+        {pid: eng.quantizer.codebook for pid, eng in engines.items()}
+        if codebook_mode == "global"
+        else {}
+    )
     return Summary(
         coded=coded,
         codebooks=codebooks,
@@ -445,17 +421,32 @@ def _apply_code_remap(
         resolved[src] = (pid, off)
     for src, (dst, off) in resolved.items():
         m = pid_arr == src
-        if m.any():
-            code_arr[m] += off
-            pid_arr[m] = dst
+        code_arr[m] += off
+        pid_arr[m] = dst
 
 
 def _split_budget(
     total: int | None, pids: np.ndarray, counts: np.ndarray
 ) -> dict[int, int]:
-    """Split a per-timestep codeword budget across partitions by size."""
+    """Split a timestep's codeword budget across its partitions by size:
+    largest remainder, ties to the lower pid, at least one each (partitions
+    below one by size get one and the others split the rest). The shares
+    add up to ``total``, the paper's "same number of codewords", unless
+    there are more partitions than that; then each gets one and the
+    timestep goes over its budget.
+    """
     if total is None:
         return {}
-    n = counts.sum()
-    alloc = {int(p): max(1, int(round(total * c / n))) for p, c in zip(pids, counts)}
-    return alloc
+    if len(pids) >= total:
+        return dict.fromkeys(pids.tolist(), 1)
+    one = np.zeros(len(pids), dtype=bool)  # partitions held at one codeword
+    while True:
+        quota = (total - one.sum()) * counts / counts[~one].sum()
+        if not (quota[~one] < 1).any():
+            break
+        one |= quota < 1
+    quota[one] = 1
+    share = np.floor(quota).astype(np.int64)
+    # the largest fractional parts take the codewords flooring left over
+    share[np.argsort(share - quota, kind="stable")[: total - share.sum()]] += 1
+    return dict(zip(pids.tolist(), share.tolist()))

@@ -1,18 +1,18 @@
-"""Error-bounded and fixed-size vector quantizers (paper Eq. 3).
+"""Error-bounded vector quantizer (paper Eq. 3).
 
 ``IncrementalQuantizer`` maintains a codebook C so that every quantized
 vector e satisfies ``||e - C(b)||_2 <= eps`` -- when new vectors violate
 the bound with the existing codewords, additional codewords are grown from
 the violators (the paper's "additional codewords are added to update C").
 
-``FixedQuantizer`` is the budgeted variant used by the Table 2/4
-experiments, where every method is given the *same number* of codewords.
+The fixed-size codebooks of Tables 2/4 (every method gets the *same
+number* of codewords) are one-shot fits that ``EPQEngine.step`` makes.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kmeans import farthest_first, grow_partition, kmeans, sq_dists
+from repro.core.kmeans import grow_partition, sq_dists
 
 
 def nearest(codebook: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,47 +74,3 @@ class IncrementalQuantizer:
         self.codebook = np.concatenate([self.codebook, other.codebook])
         return offset
 
-
-class OnlineBudgetQuantizer:
-    """Single-pass budgeted codebook (no Lloyd refinement).
-
-    Codewords are chosen greedily farthest-first (k-center maxmin) from
-    the batch, then points are assigned to their nearest codeword. This
-    models an *online* quantizer that cannot iterate over the data --
-    the regime the paper's Q-trajectory operates in when it is given a
-    fixed codeword budget instead of an error bound.
-    """
-
-    def __init__(self, n_codewords: int, *, seed: int = 0):
-        self.n_codewords = int(n_codewords)
-        self.seed = seed
-        self.codebook = np.zeros((0, 2))
-
-    def fit_quantize(self, errs: np.ndarray) -> np.ndarray:
-        errs = np.atleast_2d(np.asarray(errs, dtype=np.float64))
-        k = max(1, min(self.n_codewords, len(errs)))
-        self.codebook = farthest_first(errs, k, self.seed)
-        codes, _ = nearest(self.codebook, errs)
-        return codes
-
-    def reconstruct(self, codes: np.ndarray) -> np.ndarray:
-        return self.codebook[np.asarray(codes, dtype=np.int64)]
-
-
-class FixedQuantizer:
-    """Batch k-means codebook with exactly ``n_codewords`` entries."""
-
-    def __init__(self, n_codewords: int, *, seed: int = 0):
-        self.n_codewords = int(n_codewords)
-        self.seed = seed
-        self.codebook = np.zeros((0, 2))
-
-    def fit_quantize(self, errs: np.ndarray) -> np.ndarray:
-        """Fit the codebook on ``errs`` and return their codes."""
-        errs = np.atleast_2d(np.asarray(errs, dtype=np.float64))
-        labels, cents = kmeans(errs, self.n_codewords, seed=self.seed)
-        self.codebook = cents
-        return labels
-
-    def reconstruct(self, codes: np.ndarray) -> np.ndarray:
-        return self.codebook[np.asarray(codes, dtype=np.int64)]

@@ -5,9 +5,10 @@ Dataflow:
 1. ``trajectory_features`` -- per-trajectory partition features via
    ``groupBy(traj_id).applyInPandas`` (start position for PPQ-S, fitted
    AR(k) parameters for PPQ-A);
-2. ``assign_partitions`` -- the small feature table is collected, split
-   driver-side with the paper's grow-until-eps_p routine, and the
-   ``traj_id -> pid`` map is joined back (broadcast-size);
+2. ``assign_partitions`` -- the input is checked with one aggregation,
+   raising ``run_ppq``'s ``ValueError`` on the driver; the small feature
+   table is collected, split driver-side with the paper's grow-until-eps_p
+   routine, and the ``traj_id -> pid`` map is joined back (broadcast-size);
 3. ``build_summary_spark`` -- ``groupBy(pid).applyInPandas`` runs the
    sequential E-PQ + CQC core once per partition on its executor. Coded
    points and codebook rows come back in one pass, discriminated by a
@@ -71,6 +72,7 @@ def assign_partitions(
     seed: int = 0,
 ) -> DataFrame:
     """Add a ``pid`` column: static trajectory-level partition assignment."""
+    _validate(df)
     feats = trajectory_features(df, mode=mode, k=k).toPandas()
     fcols = [c for c in feats.columns if c.startswith("f")]
     labels, _, _ = grow_partition(feats[fcols].to_numpy(), eps_p, seed=seed)
@@ -79,6 +81,28 @@ def assign_partitions(
         schema="traj_id long, pid long",
     )
     return df.join(F.broadcast(mapping), on="traj_id", how="inner")
+
+
+def _validate(df: DataFrame) -> None:
+    """Reject on the driver, with one aggregation before the feature
+    shuffle, input that ``run_ppq`` would reject in a worker: empty,
+    non-finite or null x/y, duplicate (traj_id, t)."""
+
+    def non_finite(c: str):
+        col = F.col(c)
+        return col.isNull() | F.isnan(col) | (F.abs(col) == float("inf"))
+
+    row = df.agg(
+        F.count(F.lit(1)).alias("n"),
+        F.count(F.when(non_finite("x") | non_finite("y"), True)).alias("bad"),
+        F.countDistinct("traj_id", "t").alias("keys"),
+    ).first()
+    if row.n == 0:
+        raise ValueError("empty input: run_ppq needs at least one point")
+    if row.bad:
+        raise ValueError(f"non-finite x/y in {row.bad} rows")
+    if row.keys < row.n:
+        raise ValueError(f"duplicate (traj_id, t) in {row.n - row.keys} rows")
 
 
 def build_summary_spark(

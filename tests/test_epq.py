@@ -62,16 +62,17 @@ class TestEPQEngine:
         eng.step(2, ids, pts)
         res = eng.step(3, ids, pts)
         assert np.allclose(res.pred, 0.0)
-        assert np.allclose(eng.coeffs[3], 0.0)
+        assert np.allclose(res.coeffs, 0.0)
 
     def test_coeffs_recorded_per_t(self):
+        """Every step returns the P[t] it fitted, for run_ppq to file."""
         eng = EPQEngine(0.5, k=2, seed=0)
         ids = np.arange(5)
         pts = np.random.default_rng(4).random((5, 2))
-        for t in (1, 2, 3):
-            eng.step(t, ids, pts + 0.001 * t)
-        assert set(eng.coeffs) == {1, 2, 3}
-        assert eng.coeffs[3].shape == (2,)
+        got = [eng.step(t, ids, pts + 0.001 * t).coeffs for t in (1, 2, 3)]
+        assert [c.shape for c in got] == [(2,)] * 3
+        assert np.allclose(got[0], 0.0)  # no history yet: nothing to fit
+        assert np.abs(got[2]).max() > 0
 
     def test_global_codebook_shared_across_time(self):
         g = np.random.default_rng(5)
@@ -84,13 +85,18 @@ class TestEPQEngine:
         assert len(eng.quantizer) >= v1
 
     def test_per_t_mode_records_codebooks(self):
+        """Each per_t step returns its own fresh codebook, which its codes
+        index; the global codebook stays empty."""
         eng = EPQEngine(0.1, k=2, seed=0, codebook_mode="per_t")
         ids = np.arange(8)
         g = np.random.default_rng(6)
+        cbs = []
         for t in (1, 2):
             res = eng.step(t, ids, g.random((8, 2)))
-            assert eng.codebooks_t[t] is res.codebook_t
-        assert set(eng.codebooks_t) == {1, 2}
+            assert res.codes.max() < len(res.codebook_t)
+            cbs.append(res.codebook_t)
+        assert cbs[0] is not cbs[1]
+        assert len(eng.quantizer) == 0
 
     def test_per_t_error_bound(self):
         eng = EPQEngine(0.05, k=2, seed=0, codebook_mode="per_t")

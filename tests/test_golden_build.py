@@ -9,6 +9,10 @@ and PPQ-S (global codebook, CQC on) on both QUICK-scale datasets.
 mode: per variant it records the int digest above, a digest of the float
 columns ``x y xhat yhat xrec yrec`` together with the column names, dtypes
 and index, ``summary_bits()`` and ``n_codewords()``.
+
+``GOLDEN_PARTS`` records, per variant, one sha256 over the summary's
+other stored parts: ``codebooks``, ``codebooks_t`` and ``coeffs``, each
+over its sorted keys.
 """
 import hashlib
 
@@ -78,10 +82,10 @@ VARIANTS = {
 
 GOLDEN_FRAME = {
     ("porto", "A-fixed-dict"): (
-        "8755232500d72eb4cc4d67daafc467df23cb6eba5420818efa9ebee4606e6170",
-        "7ecbb370675545871c0fc1767ecf3e8ba29edec34b5e90a13ba05067a125f0ef",
-        87917,
-        724,
+        "1f09f05d004c54e2b3b32c9f34f4235f0093c4223bb173dfe704f3b892106183",
+        "a92f96da84499293ca00bf16cff180906e2f6f85e4030444f590889df88e218f",
+        87255,
+        714,
     ),
     ("porto", "A-global"): (
         "82ad950938f67b466e21baca61d289e0c03c04f8369ac36ac03caea4befd58e4",
@@ -114,10 +118,10 @@ GOLDEN_FRAME = {
         320,
     ),
     ("porto", "S-fixed-int"): (
-        "dd62240322a8dc2cf4bd59168c1709ea169346141ce141a8edd2c28a13951701",
-        "288e8c7c0b6f6151e85c003b493e79598239b53f2b90e282feec8157866f113f",
-        69082,
-        680,
+        "b1ee7424206187fe40ebd677316d385088a421056b45d5172d94e53704ff28aa",
+        "061f167ea2f0a683c20c999a32be21f285ca8da71c7a8c191a774d98c53c20d6",
+        65674,
+        629,
     ),
     ("porto", "S-global"): (
         "bf03620caa36363ddcee5454ff366e86713bab167e7754efe9b0fca1749314c9",
@@ -126,10 +130,10 @@ GOLDEN_FRAME = {
         121,
     ),
     ("geolife", "A-fixed-dict"): (
-        "47e952deade1d6856c746feabc58f4d7d59ff6bee3748c28eb7ef2b27f752c5d",
-        "05c09c67af90539def5513607451e57f68dce575c481ff4a0dbf60ca7b85f90b",
-        102031,
-        1094,
+        "b632c5714d8033b7ace9a9a8686885d73b9767797e8781c60fdadfd082043c03",
+        "ffb08f79265e80b25fa75cdebdd777a55a12a6fefb785fc9823cca05b59fcdab",
+        101241,
+        1082,
     ),
     ("geolife", "A-global"): (
         "53af1fe31a8ac2d0eb88ad0efd2a7e410a050814ff473fca8bbfa01e5a760f93",
@@ -162,9 +166,9 @@ GOLDEN_FRAME = {
         600,
     ),
     ("geolife", "S-fixed-int"): (
-        "093874cd87c8fe9317136eb272a14740278e0b07986f149af522773ec8f9e094",
-        "af9eaa1d3f4e42bcd5cc4d20f3fa79c1b280ba7eb1d27f7d5941a8bbc775396f",
-        99108,
+        "c8b438f003e2408ff3cb7d78001fd357735801a5edfe3e6118cc1cefc8a46778",
+        "d83674a2fcc5c1b7be364c198b01bd18cdf75d898e27a26cf8fbe562fcb28532",
+        99118,
         1060,
     ),
     ("geolife", "S-global"): (
@@ -211,3 +215,76 @@ def test_frame_matches_golden(dataset, variant):
     s = _build(dataset, variant)
     got = (*_frame_digests(s.coded), s.summary_bits(), s.n_codewords())
     assert got == GOLDEN_FRAME[(dataset, variant)]
+
+
+def _parts_digest(s) -> str:
+    h = hashlib.sha256()
+    for name, parts in (
+        ("codebooks", s.codebooks),
+        ("codebooks_t", s.codebooks_t),
+        ("coeffs", s.coeffs),
+    ):
+        h.update(name.encode())
+        for key in sorted(parts):
+            v = np.ascontiguousarray(parts[key], dtype=np.float64)
+            h.update(repr((np.asarray(key, dtype=np.int64).tolist(), v.shape)).encode())
+            h.update(v.tobytes())
+    return h.hexdigest()
+
+
+GOLDEN_PARTS = {
+    ("porto", "A-fixed-dict"): (
+        "a4088e9e21ee30501588105e25cc6913fca7d6442436c4ab4289e969c38363b1"
+    ),
+    ("porto", "A-global"): (
+        "9058c6628e0c9f58d3ebbc949e22af187e6712dd4bc066a0b1c49c386ad5f64b"
+    ),
+    ("porto", "A-per_t"): (
+        "0029450dddd6ca40f45f4ad95155051ee84afd7e10d70b3e0ea149ebb4f45298"
+    ),
+    ("porto", "E-PQ"): (
+        "3e8397e537bd1e0571943aa511b3bc902ae34b1cd2a8f10e811bc920fe1f2d92"
+    ),
+    ("porto", "Q-trajectory"): (
+        "b498172ad5496cfe5a0aefc180a115f2e97d47b59dd526abc711993804e50ba9"
+    ),
+    ("porto", "Q-trajectory-fixed"): (
+        "5cd48a81cff2938e8288d4a3fd399cf92db409cb762b5f6270f37e8a7d498151"
+    ),
+    ("porto", "S-fixed-int"): (
+        "bafd0fdad6e807391f98f9e078b229c309e5f2f88186b089c58310236ab339b2"
+    ),
+    ("porto", "S-global"): (
+        "d2940e2680788b4371d800092f179844b5476e4c04791bca7caa80a9cdd8fb29"
+    ),
+    ("geolife", "A-fixed-dict"): (
+        "0cfb5dd4ee11e6421b38930304277a2cc7c5cde29245983797f46454b2d759d4"
+    ),
+    ("geolife", "A-global"): (
+        "836ace22471a06325ca2eff4e525d56218e371654e7b98a1708a5c13c34710cc"
+    ),
+    ("geolife", "A-per_t"): (
+        "7d8eca827248e22f90199ddb55876b1ff2d8d0d09c4b01b9e87737f418675e84"
+    ),
+    ("geolife", "E-PQ"): (
+        "02c3dc434abde85316dcd3a9208d660b61f25cde3ff9c559c7c19e45c206df34"
+    ),
+    ("geolife", "Q-trajectory"): (
+        "4f57272aea28ab2cf3cb505c565e0c7ec46a148935ff2bdd148be1a214f80d76"
+    ),
+    ("geolife", "Q-trajectory-fixed"): (
+        "94d0fbfc50002842b858539960562ddb03bb4d410ad231acc9f102e9b2e510b9"
+    ),
+    ("geolife", "S-fixed-int"): (
+        "7dcca5d6fd36bcd836d0ca1afc8a1a7ec54c787cbce0999cc0cf18a02f7c4275"
+    ),
+    ("geolife", "S-global"): (
+        "6426d8dd6ec687069bd76d6044c10b858a066d7ca77e046e756003fc4d233e60"
+    ),
+}
+
+
+@pytest.mark.parametrize("dataset", ["porto", "geolife"])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_stored_parts_match_golden(dataset, variant):
+    assert _parts_digest(_build(dataset, variant)) == GOLDEN_PARTS[(dataset, variant)]

@@ -247,19 +247,24 @@ class TestIncrementalPartitioner:
         assert pids.dtype == np.int64
         assert (pids >= 0).all()
 
-    def test_q_property_tracks_centroids(self):
+    def test_stats_q_counts_live_partitions(self):
+        """q counts the partitions with members now, not dormant ones."""
         ids, feats = _two_blobs(d=10.0)
         p = IncrementalPartitioner(eps_p=1.0, seed=0)
-        p.update(ids, feats)
-        assert p.q == 2
+        pids, s = p.update(ids, feats)
+        assert s.q == len(np.unique(pids)) == 2
+        pids2, s2 = p.update(ids[:40], feats[:40])  # blob 2 goes dormant
+        assert s2.q == len(np.unique(pids2)) == 1
 
     def test_merge_events_recorded(self):
         ids, feats = _two_blobs(d=100.0)
         p = IncrementalPartitioner(eps_p=1.0, seed=0)
-        p.update(ids, feats)
+        _, s1 = p.update(ids, feats)
+        assert s1.merges == []
         feats2 = feats.copy()
         feats2[40:] -= 100.0
-        p.update(ids, feats2)
-        assert len(p.merge_events) >= 1
-        src, dst = p.merge_events[0]
+        pids2, s2 = p.update(ids, feats2)
+        assert s2.n_merges == len(s2.merges) >= 1
+        src, dst = s2.merges[0]
         assert src != dst
+        assert dst in pids2 and src not in pids2

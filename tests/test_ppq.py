@@ -121,6 +121,24 @@ class TestModes:
         for (_pid, t), cb in s.codebooks_t.items():
             assert len(cb) <= cap
 
+    @pytest.mark.parametrize("mode,eps_p", [("S", 0.02), ("A", 0.05)])
+    def test_fixed_budget_split_adds_up(self, porto_pts, mode, eps_p):
+        """Partitions split a timestamp's budget: wherever there are no more
+        partitions than codewords and no fewer points, their codebooks hold
+        exactly the budget between them (the paper's same number of
+        codewords)."""
+        s = run_ppq(
+            porto_pts, mode=mode, use_cqc=False, eps1=0.001, eps_p=eps_p,
+            codebook_mode="fixed", budget=16,
+        )
+        sizes = pd.Series({key: len(cb) for key, cb in s.codebooks_t.items()})
+        per_t = sizes.groupby(level=1).sum()
+        by_t = s.coded.groupby("t")
+        q_t = by_t.pid.nunique()
+        fits = (q_t <= 16) & (by_t.size() >= 16)
+        assert (q_t[fits] > 1).any()
+        assert (per_t[fits] == 16).all()
+
     def test_partition_stats_collected(self, ppqa_summary, porto_pts):
         assert len(ppqa_summary.partition_stats) == porto_pts.t.nunique()
 
@@ -130,6 +148,28 @@ class TestModes:
         early_growth = qs[len(qs) // 2] - qs[0]
         late_growth = qs[-1] - qs[len(qs) // 2]
         assert late_growth <= max(2, early_growth)
+
+
+class TestStoredPartsKeyedByPartition:
+    """Coefficients and per-t codebooks are filed under the (pid, t) of the
+    partition step that fitted them."""
+
+    @pytest.mark.parametrize("codebook_mode", ["global", "per_t", "fixed"])
+    @pytest.mark.parametrize("mode", ["A", "S", None])
+    def test_keys(self, porto_pts, mode, codebook_mode):
+        s = run_ppq(
+            porto_pts, mode=mode, use_cqc=False, eps1=0.001,
+            eps_p=0.05 if mode == "A" else 0.02, codebook_mode=codebook_mode,
+            budget=16 if codebook_mode == "fixed" else None,
+        )
+        coded_keys = set(zip(s.coded.pid.tolist(), s.coded.t.tolist()))
+        if codebook_mode != "global":
+            assert set(s.codebooks_t) == coded_keys
+            assert set(s.coeffs) == coded_keys
+        if mode is None:
+            assert set(s.coeffs) == {(0, t) for t in s.coded.t.unique().tolist()}
+        else:
+            assert len(s.coeffs) == sum(st.q for st in s.partition_stats)
 
 
 class TestInputValidation:

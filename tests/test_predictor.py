@@ -156,4 +156,4 @@ class TestEPQStepHistory:
         assert np.array_equal(res.pred[1], last_ramping)
         coeffs = fit_coeffs(hist[:1], pts[2:])
         assert np.array_equal(res.pred[2], predict(hist[:1], coeffs)[0])
-        assert np.array_equal(eng.coeffs[3], coeffs)
+        assert np.array_equal(res.coeffs, coeffs)

@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kmeans import grow_partition
-from repro.core.quantizer import (
-    FixedQuantizer,
-    IncrementalQuantizer,
-    OnlineBudgetQuantizer,
-    nearest,
-)
+from repro.core.kmeans import farthest_first, grow_partition, kmeans
+from repro.core.quantizer import IncrementalQuantizer, nearest
 
 
 class TestNearest:
@@ -237,59 +232,62 @@ class TestIncrementalQuantizerMatchesList:
         assert np.array_equal(new.codebook, old.codebook)
 
 
+def _online_budget(pts: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q-trajectory's budgeted codebook as fixed mode fits it: farthest-first
+    picks, then nearest-codeword assignment. Returns (codes, codebook)."""
+    cb = farthest_first(pts, max(1, min(v, len(pts))), 0)
+    return nearest(cb, pts)[0], cb
+
+
 class TestFixedQuantizer:
+    """Fixed mode's budgeted codebook with prediction: one ``kmeans`` fit."""
+
     @pytest.mark.parametrize("v", [1, 2, 8, 32])
     def test_codebook_size(self, v):
         g = np.random.default_rng(7)
-        q = FixedQuantizer(v, seed=0)
-        codes = q.fit_quantize(g.random((100, 2)))
-        assert len(q.codebook) == v
+        codes, cb = kmeans(g.random((100, 2)), v, seed=0)
+        assert len(cb) == v
         assert codes.max() < v
 
     def test_budget_clamped_to_n(self):
-        q = FixedQuantizer(50, seed=0)
-        q.fit_quantize(np.random.default_rng(8).random((5, 2)))
-        assert len(q.codebook) == 5
+        _, cb = kmeans(np.random.default_rng(8).random((5, 2)), 50, seed=0)
+        assert len(cb) == 5
 
     def test_more_codewords_less_error(self):
         g = np.random.default_rng(9)
         pts = g.random((400, 2))
         errs = []
         for v in (4, 64):
-            q = FixedQuantizer(v, seed=0)
-            codes = q.fit_quantize(pts)
-            errs.append(
-                np.sqrt(((pts - q.reconstruct(codes)) ** 2).sum(axis=1)).mean()
-            )
+            codes, cb = kmeans(pts, v, seed=0)
+            errs.append(np.sqrt(((pts - cb[codes]) ** 2).sum(axis=1)).mean())
         assert errs[1] < errs[0]
 
 
 class TestOnlineBudgetQuantizer:
+    """Fixed mode's budgeted codebook without prediction (Q-trajectory):
+    single-pass ``farthest_first`` picks, then ``nearest``."""
+
     @pytest.mark.parametrize("v", [1, 4, 16])
     def test_codebook_size(self, v):
         g = np.random.default_rng(10)
-        q = OnlineBudgetQuantizer(v, seed=0)
-        codes = q.fit_quantize(g.random((100, 2)))
-        assert len(q.codebook) == min(v, 100)
-        assert codes.max() < len(q.codebook)
+        codes, cb = _online_budget(g.random((100, 2)), v)
+        assert len(cb) == min(v, 100)
+        assert codes.max() < len(cb)
 
     def test_worse_than_kmeans(self):
         """The single-pass quantizer must not beat batch k-means --
         that gap is the paper's Q-trajectory-vs-others story."""
         g = np.random.default_rng(11)
         pts = g.random((500, 2))
-        qo = OnlineBudgetQuantizer(16, seed=0)
-        co = qo.fit_quantize(pts)
-        qk = FixedQuantizer(16, seed=0)
-        ck = qk.fit_quantize(pts)
-        e_onl = np.sqrt(((pts - qo.reconstruct(co)) ** 2).sum(axis=1)).mean()
-        e_km = np.sqrt(((pts - qk.reconstruct(ck)) ** 2).sum(axis=1)).mean()
+        co, cbo = _online_budget(pts, 16)
+        ck, cbk = kmeans(pts, 16, seed=0)
+        e_onl = np.sqrt(((pts - cbo[co]) ** 2).sum(axis=1)).mean()
+        e_km = np.sqrt(((pts - cbk[ck]) ** 2).sum(axis=1)).mean()
         assert e_onl >= e_km * 0.9  # allow slack; typically strictly worse
 
     def test_codewords_are_data_points(self):
         g = np.random.default_rng(12)
         pts = g.random((50, 2))
-        q = OnlineBudgetQuantizer(8, seed=0)
-        q.fit_quantize(pts)
-        for c in q.codebook:
+        _, cb = _online_budget(pts, 8)
+        for c in cb:
             assert ((pts == c).all(axis=1)).any()

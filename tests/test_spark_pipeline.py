@@ -17,7 +17,7 @@ from repro.spark.pipeline import (
     mae_m_spark,
     trajectory_features,
 )
-from repro.trajgen import to_spark
+from repro.trajgen import POINT_SCHEMA, to_spark
 
 EPS1 = 0.001
 GS = 0.00045
@@ -86,6 +86,34 @@ class TestAssign:
         with_pid = assign_partitions(spark, spark_points, mode="A", eps_p=0.05, seed=0)
         assert "pid" in with_pid.columns
         assert with_pid.count() == spark_points.count()
+
+
+class TestAssignValidation:
+    """assign_partitions raises run_ppq's ValueError on the driver, before
+    any worker runs, for input run_ppq would reject."""
+
+    def _assign(self, spark, rows):
+        df = spark.createDataFrame(rows, schema=POINT_SCHEMA)
+        return assign_partitions(spark, df, mode="S", eps_p=0.02, seed=0)
+
+    def test_empty_input_rejected(self, spark):
+        with pytest.raises(ValueError, match="empty input"):
+            self._assign(spark, [])
+
+    def test_non_finite_xy_rejected(self, spark):
+        rows = [(1, 1, 0.0, 0.0), (1, 2, float("nan"), 0.0), (2, 1, float("inf"), 1.0)]
+        with pytest.raises(ValueError, match="non-finite x/y in 2 rows"):
+            self._assign(spark, rows)
+
+    def test_null_xy_rejected(self, spark):
+        rows = [(1, 1, 0.0, 0.0), (1, 2, 0.1, None)]
+        with pytest.raises(ValueError, match="non-finite x/y in 1 rows"):
+            self._assign(spark, rows)
+
+    def test_duplicate_rows_rejected(self, spark):
+        rows = [(1, 1, 0.0, 0.0), (1, 1, 0.1, 0.1), (1, 2, 0.2, 0.2), (1, 2, 0.3, 0.3)]
+        with pytest.raises(ValueError, match=r"duplicate \(traj_id, t\) in 2 rows"):
+            self._assign(spark, rows)
 
 
 class TestBuild:
