@@ -6,8 +6,18 @@ Alg. 3 line 1 with eps_s). We realise the "q increases until satisfied"
 loop as bisecting splits of violating clusters, which terminates (a
 singleton always satisfies any eps >= 0) and matches Lemma 1's
 O(q*m*N*l) shape: each round splits every violating cluster once.
+
+The splits run a dedicated 2-means (``_split_two``) instead of the generic
+``kmeans``, and each round measures the clusters it changed in one pass.
+Both give the bits the generic code gives. Their group sums come from
+``np.bincount``, which adds rows in order, as numpy's axis-0 reduction in
+``centroid`` does for two or more coordinates. With one coordinate numpy
+sums the reduction pairwise instead, so that case reduces each group on
+its own, as ``centroid`` does.
 """
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,10 +50,11 @@ def farthest_first(pts: np.ndarray, k: int, seed: int) -> np.ndarray:
     g = np.random.default_rng(seed)
     picked = np.empty((k, pts.shape[1]))
     picked[0] = pts[g.integers(0, len(pts))]
-    d2 = ((pts - picked[0]) ** 2).sum(axis=1)
+    d2 = np.add.reduce((pts - picked[0]) ** 2, axis=1)
     for j in range(1, k):
-        picked[j] = pts[int(np.argmax(d2))]
-        d2 = np.minimum(d2, ((pts - picked[j]) ** 2).sum(axis=1))
+        if j > 1:
+            d2 = np.minimum(d2, np.add.reduce((pts - picked[j - 1]) ** 2, axis=1))
+        picked[j] = pts[d2.argmax()]
     return picked
 
 
@@ -78,21 +89,53 @@ def kmeans(
 
 
 def _split_two(pts: np.ndarray, seed: int) -> np.ndarray:
-    """Split points into two non-empty groups, guaranteed to make progress.
+    """Split ``pts`` into two non-empty groups; True marks the second.
 
-    Uses k-means(2) seeded by the farthest pair; falls back to a median
-    split along the widest axis when k-means degenerates (e.g. heavy
-    duplicates), so the grow loop always terminates.
+    Gives the labels of ``kmeans(pts, 2, seed=seed, iters=8)`` from a
+    dedicated 2-means: the same farthest-first seeds, then at most 8 Lloyd
+    steps on the coordinate columns with the two centroids held as Python
+    floats. A point joins the second centroid when ``d1 < d0``, argmin's
+    rule that a tie keeps the first. The centroids are ``np.bincount``
+    sums, or ``centroid`` itself with one coordinate (see the module
+    docstring). When 2-means leaves a group empty (e.g. heavy duplicates),
+    a median split along the widest axis takes over, so the grow loop
+    always terminates.
     """
-    labels, _ = kmeans(pts, 2, seed=seed, iters=8)
-    if labels.min() == labels.max():
-        axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
-        med = np.median(pts[:, axis])
-        labels = (pts[:, axis] > med).astype(np.int64)
-        if labels.min() == labels.max():  # all identical values
-            labels = np.zeros(len(pts), dtype=np.int64)
-            labels[: len(pts) // 2] = 1
-    return labels
+    n, dim = pts.shape
+    cols = list(pts.T.copy())
+    c0, c1 = farthest_first(pts, 2, seed).tolist()
+    lab = key = None
+    for _ in range(8):
+        d0 = (cols[0] - c0[0]) ** 2
+        d1 = (cols[0] - c1[0]) ** 2
+        for i in range(1, dim):
+            d0 += (cols[i] - c0[i]) ** 2
+            d1 += (cols[i] - c1[i]) ** 2
+        new = d1 < d0
+        new_key = new.tobytes()
+        if new_key == key:
+            break
+        lab, key = new, new_key
+        n1 = int(np.count_nonzero(lab))
+        if dim == 1:
+            if n1 < n:
+                c0 = centroid(pts[~lab]).tolist()
+            if n1:
+                c1 = centroid(pts[lab]).tolist()
+            continue
+        for i, col in enumerate(cols):
+            s0, s1 = np.bincount(lab, weights=col, minlength=2).tolist()
+            if n1 < n:
+                c0[i] = s0 / (n - n1)
+            if n1:
+                c1[i] = s1 / n1
+    if 0 < n1 < n:
+        return lab
+    axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+    lab = pts[:, axis] > np.median(pts[:, axis])
+    if not lab.any():  # all identical values
+        lab[: n // 2] = True
+    return lab
 
 
 def grow_partition(
@@ -104,6 +147,11 @@ def grow_partition(
     split rounds (the paper's m in Lemma 1). Each label keeps its member
     indices in ascending order, so a round only recomputes the centroid and
     radius of the clusters the previous round split; the others keep theirs.
+    Those clusters are measured in one pass: their members are gathered
+    once, the centroids come from one ``np.bincount`` per coordinate (see
+    the module docstring) and the radii from one ``np.maximum.reduceat``
+    over the squared distances (the root of the largest is the largest
+    root, as a correctly rounded sqrt is monotone).
     """
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim == 1:
@@ -116,21 +164,37 @@ def grow_partition(
     changed = [0]  # labels whose members changed, ascending
     rounds = 0
     while True:
+        segs = [members[j] for j in changed]
+        lens = [len(m) for m in segs]
+        starts = [0, *accumulate(lens[:-1])]
+        sub = pts[np.concatenate(segs)]
+        seg_of = np.repeat(np.arange(len(segs)), lens)
+        if dim == 1:
+            sums = np.array(
+                [np.add.reduce(sub[s : s + ln]) for s, ln in zip(starts, lens)]
+            )
+        else:
+            sums = np.empty((len(segs), dim))
+            for c in range(dim):
+                sums[:, c] = np.bincount(
+                    seg_of, weights=sub[:, c], minlength=len(segs)
+                )
+        cents = sums / np.array(lens)[:, None]
+        d2 = np.add.reduce((sub - cents[seg_of]) ** 2, axis=1)
+        radii = np.sqrt(np.maximum.reduceat(d2, starts)).tolist()
         viol = []
-        for j in changed:
-            sub = pts[members[j]]
-            centroids[j] = centroid(sub)
-            d = np.sqrt(((sub - centroids[j]) ** 2).sum(axis=1))
-            if d.max() > eps and len(sub) > 1:
+        for j, c, r, ln in zip(changed, cents, radii, lens):
+            centroids[j] = c
+            if r > eps and ln > 1:
                 viol.append(j)
         if not viol:
             break
         rounds += 1
         for j in viol:
             idx = members[j]
-            sub = _split_two(pts[idx], seed + rounds + j)
-            members[j] = idx[sub == 0]
-            members.append(idx[sub == 1])
+            second = _split_two(pts[idx], seed + rounds + j)
+            members[j] = idx[~second]
+            members.append(idx[second])
         changed = viol + list(range(len(centroids), len(members)))
         centroids += [None] * len(viol)  # set when ``changed`` is visited
     labels = np.empty(n, dtype=np.int64)

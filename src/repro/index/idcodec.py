@@ -64,7 +64,8 @@ class EncodedIds:
 def encode_ids(ids) -> EncodedIds:
     """Delta + Huffman encode a list of trajectory IDs (an int array or a
     sequence of ints). Cell lists are mostly one or two IDs long, so the
-    sort, delta code and symbol count run on plain Python ints."""
+    sort, delta code and symbol count run on plain Python ints, and a list
+    with one distinct delta skips the Huffman construction."""
     if isinstance(ids, np.ndarray):
         ids = sorted(ids.astype(np.int64, copy=False).tolist())
     else:
@@ -79,6 +80,13 @@ def encode_ids(ids) -> EncodedIds:
         prev = v
         deltas.append(d)
         freqs[d] = freqs.get(d, 0) + 1
+    n = len(ids)
+    if len(freqs) == 1:
+        # one delta symbol (every one-ID list): its canonical code is one 0
+        # bit, so the payload is n zero bits padded to whole bytes
+        return EncodedIds(
+            data=bytes((n + 7) // 8), n_ids=n, lengths={d: 1}, encoded_bits=n
+        )
     lengths = _huffman_lengths(freqs)
     codes = _canonical_codes(lengths)
     acc = 0
@@ -90,7 +98,7 @@ def encode_ids(ids) -> EncodedIds:
     pad = (-nbits) % 8
     acc <<= pad
     data = acc.to_bytes((nbits + pad) // 8, "big") if nbits else b""
-    return EncodedIds(data=data, n_ids=len(ids), lengths=lengths, encoded_bits=nbits)
+    return EncodedIds(data=data, n_ids=n, lengths=lengths, encoded_bits=nbits)
 
 
 def decode_ids(enc: EncodedIds) -> np.ndarray:

@@ -69,13 +69,31 @@ class TPI:
 
     def push(self, t: int, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> str:
         """Index the points at time ``t``. Returns the action taken:
-        'initial', 're-build', 'insertion' or 'append'."""
+        'initial', 're-build', 'insertion' or 'append'.
+
+        Raises ``ValueError``, leaving the index as it was, for an empty
+        timestep, ``ids``/``xs``/``ys`` of different lengths, a non-finite
+        coordinate or an id given twice."""
         start = time.perf_counter()
         ids = np.asarray(ids, dtype=np.int64)
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         if len(ids) == 0:
             raise ValueError(f"empty timestep: TPI.push needs points at t={t}")
+        if not len(ids) == len(xs) == len(ys):
+            raise ValueError(
+                f"ids, xs and ys differ in length at t={t}: "
+                f"{len(ids)}, {len(xs)}, {len(ys)}"
+            )
+        bad = ~(np.isfinite(xs) & np.isfinite(ys))
+        if bad.any():
+            raise ValueError(f"non-finite x/y for {int(bad.sum())} points at t={t}")
+        srt = np.sort(ids)
+        dup = srt[1:] == srt[:-1]
+        if dup.any():
+            raise ValueError(
+                f"duplicate ids at t={t}: {np.unique(srt[1:][dup]).tolist()[:5]}"
+            )
         try:
             if self.current is None:
                 self._open_period(t, ids, xs, ys)

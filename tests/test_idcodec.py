@@ -140,3 +140,29 @@ class TestEncoderInputs:
         want = _numpy_encode_ids(ids)
         assert encode_ids(ids) == want
         assert encode_ids(np.array(ids, dtype=np.int64)) == want
+
+
+class TestOneSymbolLists:
+    """A list whose deltas are one value (every one-ID list, and the
+    progressions step, 2*step, ...) is encoded without building a Huffman
+    code: one 0 bit per ID, the same bytes as the general path."""
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[0], [1], [17], [2**40], [0, 0, 0], [5, 10, 15], [9, 3, 6],
+         list(range(7, 57, 7)), list(range(7, 64, 7)), list(range(3, 300, 3))],
+    )
+    def test_matches_general_path(self, ids):
+        enc = encode_ids(ids)
+        assert enc == _numpy_encode_ids(ids)
+        assert enc == encode_ids(np.array(ids, dtype=np.int64))
+        assert len(enc.lengths) == 1 and enc.encoded_bits == len(ids)
+        assert decode_ids(enc).tolist() == sorted(ids)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**40), st.integers(1, 70))
+    def test_property_progressions(self, step, n):
+        ids = [step * (i + 1) for i in range(n)]
+        enc = encode_ids(ids)
+        assert enc == _numpy_encode_ids(ids)
+        assert decode_ids(enc).tolist() == ids

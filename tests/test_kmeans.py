@@ -137,9 +137,24 @@ class TestGrowPartition:
         assert labels.shape == (0,) and cents.shape == (0, 1) and rounds == 0
 
 
+def _kmeans_split(pts, seed):
+    """The earlier _split_two: generic k-means(2) labels, with a median
+    split along the widest axis when they leave one group empty."""
+    labels, _ = kmeans(pts, 2, seed=seed, iters=8)
+    if labels.min() == labels.max():
+        axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+        med = np.median(pts[:, axis])
+        labels = (pts[:, axis] > med).astype(np.int64)
+        if labels.min() == labels.max():  # all identical values
+            labels = np.zeros(len(pts), dtype=np.int64)
+            labels[: len(pts) // 2] = 1
+    return labels
+
+
 def _loop_grow_partition(pts, eps, *, seed=0):
     """The earlier grow_partition: every round masks every label over all
-    points to recompute all centroids and radii."""
+    points to recompute all centroids and radii, and splits with
+    ``_kmeans_split``."""
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -168,7 +183,7 @@ def _loop_grow_partition(pts, eps, *, seed=0):
             m = labels == j
             if m.sum() <= 1:
                 continue
-            sub = _split_two(pts[m], seed + rounds + j)
+            sub = _kmeans_split(pts[m], seed + rounds + j)
             idx = np.flatnonzero(m)
             labels[idx[sub == 1]] = next_label
             next_label += 1
@@ -222,6 +237,70 @@ class TestGrowPartitionMatchesLoop:
         g = np.random.default_rng(10)
         pts = np.array([116.3, 39.9]) + g.normal(0, 1e-3, (150, 2))
         self._check(pts, 1e-4, seed=5)
+
+
+class TestSplitTwoMatchesKMeans:
+    """The dedicated 2-means marks the same second group as the generic
+    k-means(2) split: farthest-first seeds, Lloyd steps on columns with
+    bincount centroids (centroid itself for one coordinate), the median
+    fallback."""
+
+    @staticmethod
+    def _check(pts, seed=0):
+        got, want = _split_two(pts, seed), _kmeans_split(pts, seed)
+        assert got.dtype == bool
+        assert np.array_equal(got, want == 1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_random(self, seed, dim):
+        g = np.random.default_rng(seed)
+        for n in (2, 3, int(g.integers(4, 40)), int(g.integers(40, 601)), 600):
+            self._check(g.normal(0, 1, (n, dim)) * 10.0 ** g.uniform(-3, 3), seed)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_duplicate_heavy(self, dim):
+        """Duplicates tie distances exactly: the tie keeps the first centroid
+        (a symmetric integer grid puts points midway between the seeds)."""
+        g = np.random.default_rng(dim)
+        for seed in range(10):
+            base = np.round(g.normal(0, 1, (int(g.integers(2, 6)), dim)), 1)
+            n = int(g.integers(2, 300))
+            self._check(base[g.integers(0, len(base), n)], seed)
+            self._check(g.integers(0, 3, (n, dim)).astype(np.float64), seed)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 8, 51])
+    def test_all_identical(self, dim, n):
+        """2-means leaves one group empty: the median fallback halves them."""
+        self._check(np.full((n, dim), 3.25), seed=n)
+
+    @pytest.mark.parametrize(
+        "vals, seed",
+        [
+            ([1.0, 0.9, 0.9, 0.1, 0.9, 0.5, 0.5, 0.8, 0.1, 0.8, 0.7, 0.1,
+              0.6, 0.1, 0.7, 0.7, 0.1, 0.6, 0.1, 0.4, 0.1, 0.3, 0.4, 0.6], 15),
+            ([0.8, 0.1, 0.6, 0.2, 0.1, 0.4, 0.3, 0.4, 1.0, 0.7, 0.4, 0.6,
+              0.5, 0.5, 0.3, 0.5, 0.2, 0.2, 0.5, 0.7, 0.6, 0.2, 0.8, 0.1, 0.3], 36),
+            (np.array([4, 0, 2, 3, 1, 1, 6, 2, 3, 4, 5, 2, 6, 5, 6]) * 0.1 + 116.3, 28),
+        ],
+    )
+    def test_one_coordinate_grid_ties(self, vals, seed):
+        """Grid values sit on the midpoint of two centroids, so the label
+        follows the centroids' last bit: with one coordinate only the
+        pairwise sum of ``centroid`` gives the earlier split (in-order
+        bincount sums move a point here)."""
+        self._check(np.asarray(vals, dtype=np.float64)[:, None], seed)
+
+    @pytest.mark.parametrize("spread", [1e-6, 1e-4, 1e-2])
+    def test_lon_lat_scale(self, spread):
+        """Degree coordinates with small spreads, as the index and the
+        partitioner see."""
+        g = np.random.default_rng(11)
+        for seed in range(6):
+            n = int(g.integers(2, 601))
+            self._check(np.array([116.3, 39.9]) + g.normal(0, spread, (n, 2)), seed)
+            self._check(-8.61 + g.normal(0, spread, (n, 1)), seed)
 
 
 def _kmeans_3d(pts, k, *, seed=0, iters=10):

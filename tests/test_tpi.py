@@ -196,6 +196,57 @@ class TestEmptyTimestep:
         assert tpi.push(4, *_step(pts, 3)) == "append"
 
 
+class TestPushValidation:
+    """Malformed timesteps are rejected by name before any state changes;
+    the next good push goes on as if they had never come."""
+
+    @staticmethod
+    def _index():
+        pts = _drift_points(n_steps=3)
+        tpi = TPI(eps_d=0.5, eps_c=0.5, eps_s=1.0, gc=0.2)
+        for t in (1, 2, 3):
+            tpi.push(t, *_step(pts, t))
+        return pts, tpi
+
+    @staticmethod
+    def _state(tpi):
+        return (
+            tpi.n_periods, tpi.n_rebuilds, tpi.n_insertions, tpi.build_seconds,
+            tpi.size_bits(), tpi._base_density.tobytes(),
+            sorted((k, sorted(v)) for k, v in tpi.current.pi.cells.items()),
+        )
+
+    def _check_rejected(self, match, ids, xs, ys):
+        pts, tpi = self._index()
+        before = self._state(tpi)
+        with pytest.raises(ValueError, match=match):
+            tpi.push(4, ids, xs, ys)
+        assert self._state(tpi) == before
+        assert tpi.push(4, *_step(pts, 3)) == "append"
+
+    def test_nan_coordinate(self):
+        """Before the check a NaN x fell outside every rectangle and
+        build_pi raised a RuntimeError about its own coverage."""
+        ids, xs, ys = _step(_drift_points(n_steps=3), 3)
+        xs = xs.copy()
+        xs[3] = np.nan
+        self._check_rejected("non-finite x/y for 1 points at t=4", ids, xs, ys)
+
+    def test_duplicate_ids(self):
+        """Before the check a repeated id was indexed twice, silently."""
+        ids, xs, ys = _step(_drift_points(n_steps=3), 3)
+        ids = ids.copy()
+        ids[5] = ids[2]
+        self._check_rejected(r"duplicate ids at t=4: \[2\]", ids, xs, ys)
+
+    def test_length_mismatch(self):
+        """Before the check numpy raised from a concatenate deep inside."""
+        ids, xs, ys = _step(_drift_points(n_steps=3), 3)
+        self._check_rejected(
+            "differ in length at t=4: 30, 29, 30", ids, xs[:-1], ys
+        )
+
+
 def _step(pts, t):
     f = pts[pts.t == t]
     return f.traj_id.to_numpy(), f.x.to_numpy(), f.y.to_numpy()
