@@ -9,11 +9,7 @@ O(q*m*N*l) shape: each round splits every violating cluster once.
 
 The splits run a dedicated 2-means (``_split_two``) instead of the generic
 ``kmeans``, and each round measures the clusters it changed in one pass.
-Both give the bits the generic code gives. Their group sums come from
-``np.bincount``, which adds rows in order, as numpy's axis-0 reduction in
-``centroid`` does for two or more coordinates. With one coordinate numpy
-sums the reduction pairwise instead, so that case reduces each group on
-its own, as ``centroid`` does.
+Both give the bits the generic code gives.
 """
 from __future__ import annotations
 
@@ -95,11 +91,13 @@ def _split_two(pts: np.ndarray, seed: int) -> np.ndarray:
     dedicated 2-means: the same farthest-first seeds, then at most 8 Lloyd
     steps on the coordinate columns with the two centroids held as Python
     floats. A point joins the second centroid when ``d1 < d0``, argmin's
-    rule that a tie keeps the first. The centroids are ``np.bincount``
-    sums, or ``centroid`` itself with one coordinate (see the module
-    docstring). When 2-means leaves a group empty (e.g. heavy duplicates),
-    a median split along the widest axis takes over, so the grow loop
-    always terminates.
+    rule that a tie keeps the first. With two or more coordinates the
+    centroids are ``np.bincount`` sums, which add rows in order as numpy's
+    axis-0 reduction in ``centroid`` does, and take fewer numpy calls; with
+    one coordinate numpy sums that reduction pairwise instead, so the
+    groups go through ``centroid`` itself. When 2-means leaves a group
+    empty (e.g. heavy duplicates), a median split along the widest axis
+    takes over, so the grow loop always terminates.
     """
     n, dim = pts.shape
     cols = list(pts.T.copy())
@@ -148,10 +146,10 @@ def grow_partition(
     indices in ascending order, so a round only recomputes the centroid and
     radius of the clusters the previous round split; the others keep theirs.
     Those clusters are measured in one pass: their members are gathered
-    once, the centroids come from one ``np.bincount`` per coordinate (see
-    the module docstring) and the radii from one ``np.maximum.reduceat``
-    over the squared distances (the root of the largest is the largest
-    root, as a correctly rounded sqrt is monotone).
+    once, each centroid is ``centroid``'s reduction over its own contiguous
+    rows and the radii come from one ``np.maximum.reduceat`` over the
+    squared distances (the root of the largest is the largest root, as a
+    correctly rounded sqrt is monotone).
     """
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim == 1:
@@ -168,19 +166,10 @@ def grow_partition(
         lens = [len(m) for m in segs]
         starts = [0, *accumulate(lens[:-1])]
         sub = pts[np.concatenate(segs)]
-        seg_of = np.repeat(np.arange(len(segs)), lens)
-        if dim == 1:
-            sums = np.array(
-                [np.add.reduce(sub[s : s + ln]) for s, ln in zip(starts, lens)]
-            )
-        else:
-            sums = np.empty((len(segs), dim))
-            for c in range(dim):
-                sums[:, c] = np.bincount(
-                    seg_of, weights=sub[:, c], minlength=len(segs)
-                )
-        cents = sums / np.array(lens)[:, None]
-        d2 = np.add.reduce((sub - cents[seg_of]) ** 2, axis=1)
+        cents = np.array(
+            [np.add.reduce(sub[s : s + ln]) for s, ln in zip(starts, lens)]
+        ) / np.array(lens)[:, None]
+        d2 = np.add.reduce((sub - np.repeat(cents, lens, axis=0)) ** 2, axis=1)
         radii = np.sqrt(np.maximum.reduceat(d2, starts)).tolist()
         viol = []
         for j, c, r, ln in zip(changed, cents, radii, lens):

@@ -15,9 +15,8 @@ import numpy as np
 
 
 def _huffman_lengths(freqs: dict[int, int]) -> dict[int, int]:
-    """Code length per symbol via the standard heap construction."""
-    if len(freqs) == 1:
-        return {next(iter(freqs)): 1}
+    """Code length per symbol via the standard heap construction, for two
+    or more symbols (``encode_ids`` codes a lone symbol with one bit)."""
     heap = [(f, i, (s,)) for i, (s, f) in enumerate(sorted(freqs.items()))]
     heapq.heapify(heap)
     lengths = {s: 0 for s in freqs}

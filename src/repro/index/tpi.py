@@ -72,10 +72,20 @@ class TPI:
         'initial', 're-build', 'insertion' or 'append'.
 
         Raises ``ValueError``, leaving the index as it was, for an empty
-        timestep, ``ids``/``xs``/``ys`` of different lengths, a non-finite
-        coordinate or an id given twice."""
+        timestep, ``ids``/``xs``/``ys`` of different lengths, an id that is
+        not a whole number, a non-finite coordinate or an id given twice."""
         start = time.perf_counter()
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = np.asarray(ids)
+        if ids.dtype.kind not in "iu":
+            if ids.dtype.kind != "f":
+                raise ValueError(f"non-integer ids at t={t}: dtype {ids.dtype}")
+            # a fractional id would be truncated onto another trajectory
+            bad = ~np.isfinite(ids) | (ids != np.floor(ids))
+            if bad.any():
+                raise ValueError(
+                    f"non-integer ids for {int(bad.sum())} points at t={t}"
+                )
+        ids = ids.astype(np.int64, copy=False)
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         if len(ids) == 0:

@@ -239,6 +239,35 @@ class TestPushValidation:
         ids[5] = ids[2]
         self._check_rejected(r"duplicate ids at t=4: \[2\]", ids, xs, ys)
 
+    @pytest.mark.parametrize(
+        "bad_ids, message",
+        [
+            ([1.5, 2.7], "non-integer ids for 2 points at t=4"),
+            ([2.5, 2.7], "non-integer ids for 2 points at t=4"),
+            ([np.nan, 2.0], "non-integer ids for 1 points at t=4"),
+            ([np.inf, 1.0], "non-integer ids for 1 points at t=4"),
+        ],
+    )
+    def test_non_integer_ids(self, bad_ids, message):
+        """Before the check a fractional id was truncated onto another
+        trajectory: 1.5 was indexed as 1, and 2.5 with 2.7 as a repeated 2."""
+        ids, xs, ys = _step(_drift_points(n_steps=3), 3)
+        ids = ids.astype(np.float64)
+        ids[[7, 8]] = bad_ids
+        self._check_rejected(message, ids, xs, ys)
+
+    def test_object_ids(self):
+        ids, xs, ys = _step(_drift_points(n_steps=3), 3)
+        ids = np.array([str(i) for i in ids], dtype=object)
+        self._check_rejected("non-integer ids at t=4: dtype object", ids, xs, ys)
+
+    def test_whole_float_ids_accepted(self):
+        """Float ids that are whole numbers index as the integers they are."""
+        pts, tpi = self._index()
+        ids, xs, ys = _step(pts, 3)
+        assert tpi.push(4, ids.astype(np.float64), xs, ys) == "append"
+        assert tpi.query(xs[0], ys[0], 4).tolist() == tpi.query(xs[0], ys[0], 3).tolist()
+
     def test_length_mismatch(self):
         """Before the check numpy raised from a concatenate deep inside."""
         ids, xs, ys = _step(_drift_points(n_steps=3), 3)
