@@ -21,3 +21,12 @@ def deviation_deg(frame) -> np.ndarray:
     dx = frame["x"].to_numpy() - frame["xrec"].to_numpy()
     dy = frame["y"].to_numpy() - frame["yrec"].to_numpy()
     return np.sqrt(dx * dx + dy * dy)
+
+
+def traj_runs(traj: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, ids, starts): ``order`` sorts rows by (traj, t), ``ids`` are
+    the sorted distinct trajectories, and in that order the rows of
+    ``ids[i]`` are ``starts[i]:starts[i + 1]``."""
+    order = np.lexsort((t, traj))
+    ids, starts = np.unique(traj[order], return_index=True)
+    return order, ids, np.append(starts, len(order))

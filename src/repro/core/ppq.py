@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro import DEG_TO_M, deviation_deg
+from repro import DEG_TO_M, deviation_deg, traj_runs
 from repro.core.cqc import CQCCoder
 from repro.core.epq import EPQEngine
 from repro.core.partitioning import (
@@ -70,6 +70,12 @@ class Summary:
     global codebook mode ``_apply_code_remap`` rewrites the ``pid`` of a
     merged-away partition's rows to the merge target's, so a remapped
     ``pid`` no longer keys the coefficients its row was predicted with.
+
+    ``path`` (TPQ, Def. 5.3) reads by position. Its first call caches one
+    read-only copy of ``coded`` sorted by (traj_id, t) and indexed by t,
+    with the sorted distinct trajectory ids and the row where each one's
+    run starts. A read is a binary search for the trajectory, two in its t
+    run for the window, and one positional slice of the cache.
     """
 
     coded: pd.DataFrame
@@ -80,7 +86,9 @@ class Summary:
     config: dict
     build_seconds: float
     partition_stats: list[UpdateStats] = field(default_factory=list)
-    _paths: dict[int, pd.DataFrame] | None = None
+    # ``path``'s cache: the sorted frame, its distinct traj_ids, their row
+    # offsets (with the row count last) and its t column
+    _paths: tuple[pd.DataFrame, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ---------------- quality ----------------
     def errors_m(self) -> np.ndarray:
@@ -123,14 +131,16 @@ class Summary:
             counts = self.coded.pid.value_counts()
             bits += int(sum(per_pid_bits.get(pid, 1) * c for pid, c in counts.items()))
         bits += len(self.coeffs) * self.config.get("k", DEFAULT_K) * 32
-        # partition assignment: one (traj, pid) record per contiguous run
-        runs = (
-            self.coded.sort_values(["traj_id", "t"])
-            .groupby("traj_id")["pid"]
-            .apply(lambda s: int((s != s.shift()).sum()))
-            .sum()
-        )
-        bits += int(runs) * 32
+        # partition assignment: one (traj, pid) record per contiguous run; in
+        # (traj_id, t) order a run starts at each trajectory's first row and
+        # wherever pid changes
+        order, _, starts = traj_runs(self.coded["traj_id"].to_numpy(),
+                                     self.coded["t"].to_numpy())
+        pid = self.coded["pid"].to_numpy()[order]
+        run_start = np.ones(len(pid), dtype=bool)
+        run_start[1:] = pid[1:] != pid[:-1]
+        run_start[starts[:-1]] = True
+        bits += int(np.count_nonzero(run_start)) * 32
         if self.cqc is not None:
             bits += self.n_points * self.cqc.code_bits
         return int(bits)
@@ -140,20 +150,34 @@ class Summary:
         return (self.n_points * 2 * 64) / max(1, self.summary_bits())
 
     # ---------------- reconstruction access ----------------
-    def _path_index(self) -> dict[int, pd.DataFrame]:
+    def _path_index(self) -> tuple[pd.DataFrame, np.ndarray, np.ndarray, np.ndarray]:
         if self._paths is None:
-            self._paths = {
-                int(tid): g.sort_values("t").set_index("t")
-                for tid, g in self.coded.groupby("traj_id")
-            }
+            c = self.coded
+            t = c["t"].to_numpy()
+            order, ids, starts = traj_runs(c["traj_id"].to_numpy(), t)
+            frame = pd.DataFrame(
+                {name: c[name].to_numpy()[order] for name in c.columns if name != "t"},
+                index=pd.Index(t[order], name="t"),
+            )
+            # a path is a view of this frame: a write into one raises
+            # ValueError instead of changing what later calls return
+            for block in frame._mgr.blocks:
+                block.values.flags.writeable = False
+            self._paths = (frame, ids, starts, t[order].astype(np.int64))
         return self._paths
 
     def path(self, traj_id: int, t0: int, l: int) -> pd.DataFrame:
-        """Reconstructed sub-trajectory rows for t in [t0, t0 + l]."""
-        g = self._path_index().get(int(traj_id))
-        if g is None:
-            return pd.DataFrame(columns=["x", "y", "xrec", "yrec"])
-        return g.loc[(g.index >= t0) & (g.index <= t0 + l)]
+        """Reconstructed sub-trajectory rows for t in [t0, t0 + l], indexed
+        by t; an empty frame of the same columns for an unknown trajectory.
+        The result is a read-only view of a cached frame."""
+        tid = _check_traj_id(traj_id)
+        frame, ids, starts, ts = self._path_index()
+        i = ids.searchsorted(tid)
+        if i == len(ids) or ids[i] != tid:
+            return frame.iloc[:0]
+        lo, hi = starts[i], starts[i + 1]
+        run = ts[lo:hi]
+        return frame.iloc[lo + run.searchsorted(t0) : lo + run.searchsorted(t0 + l, "right")]
 
 
 def run_ppq(
@@ -404,6 +428,20 @@ def _check_integral(col: pd.Series, name: str) -> None:
     bad = v != np.floor(v)
     if bad.any():
         raise ValueError(f"non-integer {name} in {int(bad.sum())} rows")
+
+
+def _check_traj_id(traj_id) -> int:
+    """A trajectory id as an int; rejects what ``_check_integral`` rejects
+    in a ``traj_id`` column (a fractional id would read another path)."""
+    if isinstance(traj_id, (int, np.integer)) and not isinstance(traj_id, bool):
+        return int(traj_id)
+    if not isinstance(traj_id, (float, np.floating)):
+        raise ValueError(f"non-integer traj_id {traj_id!r}: {type(traj_id).__name__}")
+    if not math.isfinite(traj_id):
+        raise ValueError(f"non-finite traj_id {traj_id!r}")
+    if traj_id != math.floor(traj_id):
+        raise ValueError(f"non-integer traj_id {traj_id!r}")
+    return int(traj_id)
 
 
 def _apply_code_remap(

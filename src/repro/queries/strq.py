@@ -6,14 +6,18 @@ STRQ(x, y, t) returns the trajectories located in the g_c grid cell of
 * plain: return IDs whose reconstruction falls in the query cell;
 * local search (CQC methods): Lemma 3 bounds the reconstruction within
   (sqrt(2)/2) * g_s of the truth, so scanning the cell dilated by that
-  radius guarantees recall 1; verifying candidates against the original
-  trajectory (the paper's final step) then makes precision 1 too.
+  radius guarantees recall 1; verifying the candidates, and only them,
+  against the original trajectory (the paper's final step) then makes
+  precision 1 too. A frame of one timestep holds one row per trajectory,
+  so checking a candidate row's true position checks its trajectory.
 
 Evaluation uses a uniform global grid of cell size ``gc`` (the index-path
 equivalents live in ``repro.index``); queries are true trajectory points,
 and ground truth comes from the true positions.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pandas as pd
@@ -37,9 +41,9 @@ def sample_queries(
 
 def strq_truth(frame_t: pd.DataFrame, x: float, y: float, gc: float) -> set[int]:
     """IDs whose *true* position at this timestamp is in the cell of (x, y)."""
-    cx, cy = int(np.floor(x / gc)), int(np.floor(y / gc))
-    tx, ty = cell_of(frame_t.x.to_numpy(), frame_t.y.to_numpy(), gc)
-    return set(frame_t.traj_id.to_numpy()[(tx == cx) & (ty == cy)].tolist())
+    cx, cy = math.floor(x / gc), math.floor(y / gc)
+    tx, ty = cell_of(frame_t["x"].to_numpy(), frame_t["y"].to_numpy(), gc)
+    return set(frame_t["traj_id"].to_numpy()[(tx == cx) & (ty == cy)].tolist())
 
 
 def strq_answer(
@@ -53,19 +57,25 @@ def strq_answer(
 ) -> set[int]:
     """IDs whose reconstruction is in the query cell (dilated by
     ``dilate``); with ``verify`` the candidates are checked against the
-    original positions (precision-1 step)."""
-    cx, cy = int(np.floor(x / gc)), int(np.floor(y / gc))
+    original positions (precision-1 step).
+
+    ``frame_t`` holds one timestep, so each ``traj_id`` appears in it at
+    most once (``run_ppq`` rejects duplicate (traj_id, t)). Verification
+    computes the true cell of the candidate rows only; it cannot add IDs,
+    so recall is whatever the candidates achieved."""
+    cx, cy = math.floor(x / gc), math.floor(y / gc)
     x0, x1 = cx * gc - dilate, (cx + 1) * gc + dilate
     y0, y1 = cy * gc - dilate, (cy + 1) * gc + dilate
-    rx = frame_t.xrec.to_numpy()
-    ry = frame_t.yrec.to_numpy()
-    m = (rx >= x0) & (rx < x1) & (ry >= y0) & (ry < y1)
-    ids = set(frame_t.traj_id.to_numpy()[m].tolist())
+    rx = frame_t["xrec"].to_numpy()
+    ry = frame_t["yrec"].to_numpy()
+    cand = np.flatnonzero((rx >= x0) & (rx < x1) & (ry >= y0) & (ry < y1))
+    ids = frame_t["traj_id"].to_numpy()[cand]
     if verify:
-        ids &= strq_truth(frame_t, x, y, gc) | set()
-        # verification reads original trajectories of the candidates only;
-        # it cannot add IDs, so recall is whatever the candidates achieved.
-    return ids
+        tx, ty = cell_of(
+            frame_t["x"].to_numpy()[cand], frame_t["y"].to_numpy()[cand], gc
+        )
+        ids = ids[(tx == cx) & (ty == cy)]
+    return set(ids.tolist())
 
 
 def precision_recall(truth: set[int], answer: set[int]) -> tuple[float, float]:

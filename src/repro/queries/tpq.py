@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro import DEG_TO_M, deviation_deg
+from repro import DEG_TO_M, deviation_deg, traj_runs
 
 
 def sample_path_queries(
@@ -38,17 +38,19 @@ def tpq_mae_km(
 
     ``recon``: traj_id, t, x, y, xrec, yrec.
     """
-    err = deviation_deg(recon) * DEG_TO_M
-    keyed = pd.DataFrame(
-        {"traj_id": recon.traj_id.to_numpy(), "t": recon.t.to_numpy(), "err": err}
-    )
-    by_traj = {tid: g.set_index("t").err for tid, g in keyed.groupby("traj_id")}
+    order, ids, starts = traj_runs(recon["traj_id"].to_numpy(), recon["t"].to_numpy())
+    t = recon["t"].to_numpy()[order]
+    err = (deviation_deg(recon) * DEG_TO_M)[order]
     sums = []
     for q in queries.itertuples(index=False):
-        s = by_traj.get(q.traj_id)
-        if s is None:
+        i = ids.searchsorted(q.traj_id)
+        if i == len(ids) or ids[i] != q.traj_id:
             continue
-        window = s.loc[(s.index > q.t) & (s.index <= q.t + l)]
-        if len(window):
-            sums.append(float(window.sum()))
+        lo, hi = starts[i], starts[i + 1]
+        run = t[lo:hi]
+        # the l points after the start: t in the half-open (q.t, q.t + l]
+        a = lo + run.searchsorted(q.t, "right")
+        b = lo + run.searchsorted(q.t + l, "right")
+        if b > a:
+            sums.append(float(err[a:b].sum()))
     return float(np.mean(sums)) / 1000.0

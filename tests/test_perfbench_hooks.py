@@ -1,5 +1,6 @@
 """The traced benchmark run (``perfbench/run.py --trace 1``) wraps layer
 functions by name; these checks fail when a refactor moves one of them."""
+import math
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from repro.core import ppq
 from repro.core.partitioning import AR_WINDOW
 from repro.harness.config import QUICK
 from repro.index.tpi import TPI
+from repro.queries import strq
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -91,3 +93,35 @@ def test_traced_tpi_replay_reaches_the_index_layers(tracing, porto_pts):
             assert calls.get("index.pi.build_pi", 0) == builds
             assert calls.get("index.pi.grow_partition", 0) == builds
     assert set(actions) == {"initial", "re-build", "insertion", "append"}
+
+
+def test_traced_serve_replay_records_one_read_span_per_timestep(tracing):
+    """A serve replay (push, STRQ, TPI query and TPQ path at each timestep)
+    under the wrappers records exactly one span of each read layer per
+    timestep."""
+    ds = QUICK.dataset("geolife")
+    pts = ds.load()
+    s = ppq.run_ppq(pts, mode="S", use_cqc=True, eps1=QUICK.eps1, gs=QUICK.gs,
+                    eps_p=ds.eps_p_spatial, seed=QUICK.seed)
+    frames = [(int(t), f) for t, f in s.coded.groupby("t", sort=True)][:15]
+    radius = (math.sqrt(2) / 2) * QUICK.gs
+    patches = tracing.layer_patches(False)
+    tracer = tracing.Tracer()
+    tpi = TPI(eps_d=0.8, eps_c=0.5, eps_s=QUICK.eps_s, gc=QUICK.gc)
+    per_step = ("index.tpi.push", "queries.strq.strq_answer", "index.tpi.query",
+                "queries.tpq.path")
+    with tracing.installed(tracer, patches):
+        for t, f in frames:
+            before = dict(tracer.calls)
+            q = f.iloc[len(f) // 2]
+            tpi.push(t, f.traj_id.to_numpy(), f.x.to_numpy(), f.y.to_numpy())
+            ans = strq.strq_answer(f, q.x, q.y, QUICK.gc, dilate=radius, verify=True)
+            hits = tpi.query(q.x, q.y, t)
+            rows = s.path(int(q.traj_id), t, 10)
+            calls = {k: v - before.get(k, 0) for k, v in tracer.calls.items()}
+            assert {k: calls.get(k, 0) for k in per_step} == dict.fromkeys(per_step, 1)
+            assert int(q.traj_id) in ans and int(q.traj_id) in hits
+            assert len(rows) > 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("queries.tpq.path") == len(frames)
+    assert names.count("queries.strq.strq_answer") == len(frames)

@@ -272,8 +272,40 @@ class TestPathAccess:
         assert len(p) == 6  # t in [1, 6]
         assert "xrec" in p.columns
 
-    def test_path_missing_traj_empty(self, ppqa_summary):
-        assert len(ppqa_summary.path(10**9, 1, 5)) == 0
+    def test_path_missing_traj_empty(self, ppqa_summary, porto_pts):
+        """An unknown trajectory gives an empty path with the schema of a
+        found one: the same columns and dtypes, and a ``t`` index."""
+        found = ppqa_summary.path(int(porto_pts.traj_id.iloc[0]), 1, 5)
+        empty = ppqa_summary.path(10**9, 1, 5)
+        assert len(empty) == 0
+        assert list(empty.columns) == list(found.columns)
+        assert len(found.columns) == 10
+        assert empty.dtypes.equals(found.dtypes)
+        assert empty.index.name == found.index.name == "t"
+        assert empty.index.dtype == found.index.dtype
+
+    def test_path_whole_number_float_id(self, ppqa_summary, porto_pts):
+        tid = int(porto_pts.traj_id.iloc[0])
+        assert ppqa_summary.path(float(tid), 1, 5).equals(ppqa_summary.path(tid, 1, 5))
+
+    def test_path_rejects_nan_id(self, ppqa_summary):
+        with pytest.raises(ValueError, match="non-finite traj_id"):
+            ppqa_summary.path(float("nan"), 1, 5)
+
+    def test_path_rejects_inf_id(self, ppqa_summary):
+        with pytest.raises(ValueError, match="non-finite traj_id"):
+            ppqa_summary.path(np.float64("inf"), 1, 5)
+
+    def test_path_rejects_fractional_id(self, ppqa_summary, porto_pts):
+        # 1.5 would otherwise read trajectory 1's path
+        assert len(ppqa_summary.path(1, 1, 5)) > 0
+        with pytest.raises(ValueError, match="non-integer traj_id"):
+            ppqa_summary.path(1.5, 1, 5)
+
+    def test_path_rejects_non_numeric_id(self, ppqa_summary):
+        for tid in ("1", None, True):
+            with pytest.raises(ValueError, match="non-integer traj_id"):
+                ppqa_summary.path(tid, 1, 5)
 
     def test_build_seconds_recorded(self, ppqa_summary):
         assert ppqa_summary.build_seconds > 0
