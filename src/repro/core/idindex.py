@@ -14,8 +14,9 @@ import numpy as np
 def lookup(known: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``ids`` in the sorted array ``known``, and which were found.
 
-    Rows of ids that are not in ``known`` are arbitrary valid rows (0 when
-    ``known`` is empty); mask them with the second result.
+    Rows of ids that are not in ``known`` are arbitrary: some row of
+    ``known`` when it is non-empty, and 0 when it is empty, which is no
+    row at all. Mask them with the second result before indexing.
     """
     ids = np.asarray(ids)
     if len(known) == 0:

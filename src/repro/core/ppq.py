@@ -5,8 +5,8 @@ summary object shared by every experiment harness.
 
   1. compute partition features (spatial position for PPQ-S, fitted AR(k)
      parameters for PPQ-A) and update the incremental partitioner;
-  2. run one E-PQ step per partition (own predictor coefficients P_j[t]
-     and own codebook per partition, Eq. 5-6);
+  2. run one E-PQ step over every partition (own predictor coefficients
+     P_j[t] and own codebook per partition, Eq. 5-6);
   3. optionally CQC-encode the residual of every point (Section 4).
 
 Variants of the paper map to arguments:
@@ -46,9 +46,8 @@ from repro.core.partitioning import (
     IncrementalPartitioner,
     UpdateStats,
     ar_features,
-    group_rows,
 )
-from repro.core.predictor import DEFAULT_K, History
+from repro.core.predictor import DEFAULT_K
 
 AR_EMA = 0.3
 """Weight of the newest AR(k) fit in PPQ-A's smoothed partition features."""
@@ -64,7 +63,7 @@ class Summary:
     is the codebooks + coefficients + per-point code indexes + CQC codes;
     the reconstruction columns are what the encoder computed, materialised
     for convenience. ``run_ppq`` files each coefficient vector and per-t
-    codebook under the (pid, t) of the partition step that fitted it. The
+    codebook under the (pid, t) of the partition and step that fitted it. The
     columns are meant to be a pure function of the stored parts, but no
     test decodes them from those parts alone, and one defect remains: in
     global codebook mode ``_apply_code_remap`` rewrites the ``pid`` of a
@@ -220,9 +219,10 @@ def run_ppq(
     n = len(ts)
     cuts = np.flatnonzero(np.diff(ts)) + 1
 
-    shared_history = History(k)
     partitioner = IncrementalPartitioner(eps_p=eps_p, seed=seed) if mode else None
-    engines: dict[int, EPQEngine] = {}
+    engine = EPQEngine(
+        eps1, k=k, seed=seed, predict_enabled=predict, codebook_mode=codebook_mode
+    )
     code_remap: dict[int, tuple[int, int]] = {}  # src pid -> (dst pid, offset)
     ar_state = _ARState(np.unique(traj), k) if mode == "A" else None
     part_stats: list[UpdateStats] = []
@@ -256,44 +256,26 @@ def run_ppq(
             # in global-codebook mode the target quantizer absorbs the
             # source's codewords and the source's already-emitted codes are
             # remapped at the end. A source split off in this same update
-            # has coded nothing and has no engine; any other source merges
-            # into a lower, older pid, which has one. In per-t / fixed
-            # modes codes reference (pid, t) codebooks, which a merge
-            # leaves as they are.
-            if codebook_mode == "global":
-                for src, dst in stats.merges:
-                    if src in engines:
-                        src_q = engines.pop(src).quantizer
-                        code_remap[src] = (dst, engines[dst].quantizer.absorb(src_q))
+            # has coded nothing and has no quantizer; any other source
+            # merges into a lower, older pid, which has one. In per-t /
+            # fixed modes codes reference (pid, t) codebooks, which a merge
+            # leaves as they are, and the engine keeps no quantizers.
+            quantizers = engine.quantizers
+            for src, dst in stats.merges:
+                if src in quantizers:
+                    code_remap[src] = (dst, quantizers[dst].absorb(quantizers.pop(src)))
             pid_out[lo:hi] = pids
         else:
             pids = pid_out[lo:hi]
 
-        # one stable sort by pid: each partition's rows, in their order at
-        # this timestep, are one slice [a:b) of the permuted arrays
-        uniq, rows, bounds = group_rows(pids)
         bt = budget.get(t) if isinstance(budget, dict) else budget
-        budgets = _split_budget(bt, uniq, np.diff(bounds))
-        ids_p, xy_p, out_p = ids[rows], xy[rows], lo + rows
-        for pid, a, b in zip(uniq.tolist(), bounds[:-1], bounds[1:]):
-            engine = engines.get(pid)
-            if engine is None:
-                engine = EPQEngine(
-                    eps1,
-                    k=k,
-                    seed=seed + 7919 * (pid + 1),
-                    predict_enabled=predict,
-                    history=shared_history,
-                    codebook_mode=codebook_mode,
-                )
-                engines[pid] = engine
-            res = engine.step(t, ids_p[a:b], xy_p[a:b], budget=budgets.get(pid))
-            coeffs[(pid, t)] = res.coeffs
-            if res.codebook_t is not None:
-                codebooks_t[(pid, t)] = res.codebook_t
-            code_out[out_p[a:b]] = res.codes
-            recon_out[out_p[a:b]] = res.recon
-        recon = recon_out[lo:hi]
+        res = engine.step(t, ids, xy, pids, budget=bt)
+        for pid, c in res.coeffs.items():
+            coeffs[(pid, t)] = c
+        for pid, cb in res.codebooks_t.items():
+            codebooks_t[(pid, t)] = cb
+        code_out[lo:hi] = res.codes
+        recon_out[lo:hi] = recon = res.recon
 
         if cqc is not None:
             cqc_out[lo:hi] = cqc.encode(xy - recon)
@@ -320,14 +302,9 @@ def run_ppq(
             "cqc": cqc_out,
         }
     )
-    codebooks = (
-        {pid: eng.quantizer.codebook for pid, eng in engines.items()}
-        if codebook_mode == "global"
-        else {}
-    )
     return Summary(
         coded=coded,
-        codebooks=codebooks,
+        codebooks={pid: q.codebook for pid, q in engine.quantizers.items()},
         codebooks_t=codebooks_t,
         coeffs=coeffs,
         cqc=cqc,
@@ -461,30 +438,3 @@ def _apply_code_remap(
         m = pid_arr == src
         code_arr[m] += off
         pid_arr[m] = dst
-
-
-def _split_budget(
-    total: int | None, pids: np.ndarray, counts: np.ndarray
-) -> dict[int, int]:
-    """Split a timestep's codeword budget across its partitions by size:
-    largest remainder, ties to the lower pid, at least one each (partitions
-    below one by size get one and the others split the rest). The shares
-    add up to ``total``, the paper's "same number of codewords", unless
-    there are more partitions than that; then each gets one and the
-    timestep goes over its budget.
-    """
-    if total is None:
-        return {}
-    if len(pids) >= total:
-        return dict.fromkeys(pids.tolist(), 1)
-    one = np.zeros(len(pids), dtype=bool)  # partitions held at one codeword
-    while True:
-        quota = (total - one.sum()) * counts / counts[~one].sum()
-        if not (quota[~one] < 1).any():
-            break
-        one |= quota < 1
-    quota[one] = 1
-    share = np.floor(quota).astype(np.int64)
-    # the largest fractional parts take the codewords flooring left over
-    share[np.argsort(share - quota, kind="stable")[: total - share.sum()]] += 1
-    return dict(zip(pids.tolist(), share.tolist()))

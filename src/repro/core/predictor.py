@@ -19,6 +19,43 @@ DEFAULT_K = 2
 constant-velocity regime dominant in vehicle data (see DESIGN.md)."""
 
 
+def normal_equations(
+    hist: np.ndarray, cur: np.ndarray, bounds: np.ndarray, *, ridge: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ridged normal equations of one P[t] regression per group of rows.
+
+    Group g is rows ``bounds[g]:bounds[g + 1]`` (non-empty) of ``hist``
+    (n, k, 2) and ``cur`` (n, 2). Its design matrix A is one contiguous
+    block: the x equations of its rows, then their y equations. Its system
+    is ``AᵀA + ridge·I·max(1, max|A|²)`` and ``Aᵀb``, returned stacked as
+    (G, k, k) and (G, k). Each group's products are the BLAS calls a fit
+    of that group alone makes, so a system does not depend on the other
+    groups.
+    """
+    bounds = np.asarray(bounds)
+    n, k, _ = hist.shape
+    sizes = np.diff(bounds)
+    # group g's x rows are a[2 * lo : lo + hi], its y rows a[lo + hi : 2 * hi]
+    x_rows = np.arange(n) + np.repeat(bounds[:-1], sizes)
+    y_rows = x_rows + np.repeat(sizes, sizes)
+    a = np.empty((2 * n, k))
+    a[x_rows], a[y_rows] = hist[:, :, 0], hist[:, :, 1]
+    b = np.empty(2 * n)
+    b[x_rows], b[y_rows] = cur[:, 0], cur[:, 1]
+    ata = np.empty((len(sizes), k, k))
+    atb = np.empty((len(sizes), k))
+    rows = (2 * bounds).tolist()
+    for g, (lo, hi) in enumerate(zip(rows[:-1], rows[1:])):
+        ag = a[lo:hi]
+        ata[g] = ag.T @ ag
+        atb[g] = ag.T @ b[lo:hi]
+    # the scale squares each group's max|A| as a float64 scalar, as a fit of
+    # that group alone does
+    top = np.maximum.reduceat(np.abs(a), 2 * bounds[:-1]).max(axis=1)
+    scale = np.array([max(1.0, m ** 2) for m in top])
+    return ata + ridge * np.eye(k) * scale[:, None, None], atb
+
+
 def fit_coeffs(hist: np.ndarray, cur: np.ndarray, *, ridge: float = 1e-10) -> np.ndarray:
     """Least-squares fit of P[t] (shape (k,)) from history to current points.
 
@@ -26,22 +63,23 @@ def fit_coeffs(hist: np.ndarray, cur: np.ndarray, *, ridge: float = 1e-10) -> np
     t-j; ``cur`` has shape (n, 2). The x and y equations share the same
     coefficients (the paper's f is one function per partition), so both
     axes are stacked into one regression. A tiny ridge keeps the solve
-    stable when histories are collinear (e.g. stationary objects).
+    stable when histories are collinear (e.g. stationary objects); a
+    singular system falls back to least squares.
     """
-    n, k, _ = hist.shape
-    a = np.concatenate([hist[:, :, 0], hist[:, :, 1]], axis=0)  # (2n, k)
-    b = np.concatenate([cur[:, 0], cur[:, 1]], axis=0)  # (2n,)
-    ata = a.T @ a + ridge * np.eye(k) * max(1.0, np.abs(a).max() ** 2)
-    atb = a.T @ b
+    ata, atb = normal_equations(hist, cur, [0, len(hist)], ridge=ridge)
     try:
-        return np.linalg.solve(ata, atb)
+        return np.linalg.solve(ata[0], atb[0])
     except np.linalg.LinAlgError:
+        a = np.concatenate([hist[:, :, 0], hist[:, :, 1]], axis=0)
+        b = np.concatenate([cur[:, 0], cur[:, 1]], axis=0)
         return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 def predict(hist: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Apply P[t]: (n, k, 2) x (k,) -> (n, 2) predictions (Eq. 2)."""
-    return np.einsum("nkd,k->nd", hist, coeffs)
+    """Apply P[t] (Eq. 2): (n, k, 2) x (n, k) -> (n, 2) predictions, where
+    ``coeffs[i]`` are the coefficients of row i's partition; a single (k,)
+    vector applies to every row."""
+    return np.einsum("nkd,nk->nd", hist, np.broadcast_to(coeffs, hist.shape[:2]))
 
 
 class History:
@@ -73,12 +111,14 @@ class History:
     def matrix(self, ids: np.ndarray) -> np.ndarray:
         """History tensor (n, k, 2); hist[:, j-1] is the point at t-j.
 
-        All ids must have been pushed; rows of ids with fewer than k
-        pushes are zero beyond their count (hist[:, 0] is the last
-        reconstruction of every id).
+        Rows of ids with fewer than k pushes are zero beyond their count
+        (hist[:, 0] is the last reconstruction of every pushed id), and
+        rows of ids never pushed are zero.
         """
-        rows, _ = lookup(self._ids, ids)
-        return self._buf[rows]
+        rows, found = lookup(self._ids, ids)
+        out = np.zeros((len(rows), self.k, 2))
+        out[found] = self._buf[rows[found]]
+        return out
 
     def push(self, ids: np.ndarray, recon: np.ndarray) -> None:
         """Record reconstructed points for this timestep."""

@@ -5,8 +5,12 @@ vector e satisfies ``||e - C(b)||_2 <= eps`` -- when new vectors violate
 the bound with the existing codewords, additional codewords are grown from
 the violators (the paper's "additional codewords are added to update C").
 
-The fixed-size codebooks of Tables 2/4 (every method gets the *same
-number* of codewords) are one-shot fits that ``EPQEngine.step`` makes.
+``EPQEngine`` keeps one per partition in the global codebook mode and
+makes a fresh one per partition and timestep in the per-t mode. The
+fixed-size codebooks of Tables 2/4 (every method gets the *same number*
+of codewords) are no quantizer's: ``EPQEngine.step`` fits them once per
+partition and timestep with ``kmeans``, or ``farthest_first`` without
+prediction.
 """
 from __future__ import annotations
 

@@ -2,7 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.core.epq import EPQEngine
+from repro.core.epq import EPQEngine, _split_budget
+from repro.core.kmeans import farthest_first, kmeans
+from repro.core.predictor import History, fit_coeffs
+from repro.core.quantizer import IncrementalQuantizer, nearest
 
 
 def _smooth_batch(g, n, t, v=0.001):
@@ -62,14 +65,14 @@ class TestEPQEngine:
         eng.step(2, ids, pts)
         res = eng.step(3, ids, pts)
         assert np.allclose(res.pred, 0.0)
-        assert np.allclose(res.coeffs, 0.0)
+        assert np.allclose(res.coeffs[0], 0.0)
 
     def test_coeffs_recorded_per_t(self):
         """Every step returns the P[t] it fitted, for run_ppq to file."""
         eng = EPQEngine(0.5, k=2, seed=0)
         ids = np.arange(5)
         pts = np.random.default_rng(4).random((5, 2))
-        got = [eng.step(t, ids, pts + 0.001 * t).coeffs for t in (1, 2, 3)]
+        got = [eng.step(t, ids, pts + 0.001 * t).coeffs[0] for t in (1, 2, 3)]
         assert [c.shape for c in got] == [(2,)] * 3
         assert np.allclose(got[0], 0.0)  # no history yet: nothing to fit
         assert np.abs(got[2]).max() > 0
@@ -80,23 +83,23 @@ class TestEPQEngine:
         ids = np.arange(10)
         pts = g.random((10, 2))
         eng.step(1, ids, pts)
-        v1 = len(eng.quantizer)
+        v1 = len(eng.quantizers[0])
         eng.step(2, ids, pts)  # same raw points, warm predictions differ
-        assert len(eng.quantizer) >= v1
+        assert len(eng.quantizers[0]) >= v1
 
     def test_per_t_mode_records_codebooks(self):
         """Each per_t step returns its own fresh codebook, which its codes
-        index; the global codebook stays empty."""
+        index; no global codebook is made."""
         eng = EPQEngine(0.1, k=2, seed=0, codebook_mode="per_t")
         ids = np.arange(8)
         g = np.random.default_rng(6)
         cbs = []
         for t in (1, 2):
             res = eng.step(t, ids, g.random((8, 2)))
-            assert res.codes.max() < len(res.codebook_t)
-            cbs.append(res.codebook_t)
+            assert res.codes.max() < len(res.codebooks_t[0])
+            cbs.append(res.codebooks_t[0])
         assert cbs[0] is not cbs[1]
-        assert len(eng.quantizer) == 0
+        assert eng.quantizers == {}
 
     def test_per_t_error_bound(self):
         eng = EPQEngine(0.05, k=2, seed=0, codebook_mode="per_t")
@@ -112,7 +115,7 @@ class TestEPQEngine:
         eng = EPQEngine(0.05, k=2, seed=0, codebook_mode="fixed")
         ids = np.arange(30)
         res = eng.step(1, ids, np.random.default_rng(8).random((30, 2)), budget=4)
-        assert len(res.codebook_t) == 4
+        assert len(res.codebooks_t[0]) == 4
 
     def test_fixed_mode_budget_override(self):
         """Each step's budget sizes that step's codebook."""
@@ -121,7 +124,7 @@ class TestEPQEngine:
         g = np.random.default_rng(9)
         for t, v in ((1, 4), (2, 7)):
             res = eng.step(t, ids, g.random((30, 2)), budget=v)
-            assert len(res.codebook_t) == v
+            assert len(res.codebooks_t[0]) == v
 
     def test_fixed_mode_without_budget_raises(self):
         eng = EPQEngine(0.05, codebook_mode="fixed")
@@ -140,8 +143,8 @@ class TestEPQEngine:
         ids = np.arange(40)
         pts = np.random.default_rng(10).random((40, 2))
         res = eng.step(1, ids, pts, budget=8)
-        assert len(res.codebook_t) == 8
-        assert (res.codebook_t[:, None, :] == pts[None, :, :]).all(axis=2).any(axis=1).all()
+        assert len(res.codebooks_t[0]) == 8
+        assert (res.codebooks_t[0][:, None, :] == pts[None, :, :]).all(axis=2).any(axis=1).all()
 
     def test_variable_membership(self):
         """Trajectories may appear/disappear across timesteps."""
@@ -151,3 +154,213 @@ class TestEPQEngine:
         eng.step(2, np.array([2, 3]), g.random((2, 2)))
         res = eng.step(3, np.array([1, 2, 4]), g.random((3, 2)))
         assert len(res.codes) == 3
+
+
+# ------------------------------------------------ one step over every partition
+def _fit_one(hist, cur, ridge=1e-10):
+    """One partition's P[t] fit, written out as a per-partition step made it:
+    the ridged normal equations, solved alone, least squares if singular."""
+    k = hist.shape[1]
+    a = np.concatenate([hist[:, :, 0], hist[:, :, 1]], axis=0)
+    b = np.concatenate([cur[:, 0], cur[:, 1]], axis=0)
+    ata = a.T @ a + ridge * np.eye(k) * max(1.0, np.abs(a).max() ** 2)
+    try:
+        return np.linalg.solve(ata, a.T @ b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+class _PerPartitionSteps:
+    """Reference semantics of the multi-partition step: one single-partition
+    E-PQ step per pid, in ascending pid order, on one shared ``History``.
+    Partition ``pid`` seeds its codebooks from ``seed + 7919 * (pid + 1)``."""
+
+    def __init__(self, eps1, *, k, seed, predict_enabled, codebook_mode):
+        self.eps1, self.k, self.seed = eps1, k, seed
+        self.predict_enabled = predict_enabled
+        self.codebook_mode = codebook_mode
+        self.history = History(k)
+        self.quantizers = {}
+
+    def step(self, t, ids, pts, pids, budget=None):
+        n = len(ids)
+        codes = np.empty(n, dtype=np.int64)
+        recon, pred = np.empty((n, 2)), np.empty((n, 2))
+        coeffs, codebooks_t = {}, {}
+        uniq, counts = np.unique(pids, return_counts=True)
+        shares = _split_budget(budget, uniq, counts)
+        for pid in uniq.tolist():
+            rows = np.flatnonzero(pids == pid)
+            i, x = ids[rows], pts[rows]
+            p, c = np.zeros((len(rows), 2)), np.zeros(self.k)
+            if self.predict_enabled:
+                warm = self.history.warm_ids(i)
+                if warm.any():
+                    hist = self.history.matrix(i[warm])
+                    c = _fit_one(hist, x[warm])
+                    p[warm] = np.einsum("nkd,k->nd", hist, c)
+                cold = np.flatnonzero(~warm)
+                ramp = cold[self.history.counts(i[cold]) > 0]
+                if len(ramp):
+                    p[ramp] = self.history.matrix(i[ramp])[:, 0]
+            e = x - p
+            seed = self.seed + 7919 * (pid + 1)
+            if self.codebook_mode == "global":
+                q = self.quantizers.setdefault(pid, IncrementalQuantizer(self.eps1, seed=seed))
+                cd = q.quantize(e)
+                r = p + q.reconstruct(cd)
+            elif self.codebook_mode == "per_t":
+                q = IncrementalQuantizer(self.eps1, seed=seed + t)
+                cd = q.quantize(e)
+                r = p + q.reconstruct(cd)
+                codebooks_t[pid] = q.codebook
+            else:
+                if self.predict_enabled:
+                    cd, cb = kmeans(e, shares[pid], seed=seed + t)
+                else:
+                    cb = farthest_first(e, max(1, min(shares[pid], len(e))), seed + t)
+                    cd, _ = nearest(cb, e)
+                r = p + cb[cd]
+                codebooks_t[pid] = cb
+            self.history.push(i, r)
+            codes[rows], recon[rows], pred[rows], coeffs[pid] = cd, r, p, c
+        return codes, recon, pred, coeffs, codebooks_t
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+def _schedule(seed=21, steps=9):
+    """Timesteps of (ids, points, pids): trajectories join and leave, so
+    some rows are cold (never pushed), some ramp up (1 of k = 2 pushes) and
+    some are warm. The rows come in shuffled order. Partition 9 holds only
+    trajectories that join at that step, so it has no warm rows. The first
+    step runs on an empty history. Points are in degrees around Beijing, so
+    the fit's ridge scale max|A|² differs per partition and is above 1."""
+    g = np.random.default_rng(seed)
+    base = np.array([116.3, 39.9]) + g.random((40, 2))
+    vel = g.normal(0, 0.002, (40, 2))
+    out = []
+    for t in range(1, steps + 1):
+        alive = np.flatnonzero(g.random(32) < 0.85)
+        ids = np.r_[alive, 30 + t] if t >= 2 else alive
+        pids = g.integers(0, 4, len(ids))
+        pids[ids == 30 + t] = 9
+        pts = base[ids % 40] + vel[ids % 40] * t + g.normal(0, 2e-4, (len(ids), 2))
+        perm = g.permutation(len(ids))
+        out.append((t, ids[perm], pts[perm], pids[perm]))
+    return out
+
+
+def _assert_same_steps(eng, ref, schedule, budget=None):
+    for t, ids, pts, pids in schedule:
+        res = eng.step(t, ids, pts, pids, budget=budget)
+        codes, recon, pred, coeffs, codebooks_t = ref.step(t, ids, pts, pids, budget)
+        assert res.codes.tolist() == codes.tolist()
+        assert _bits(res.recon) == _bits(recon)
+        assert _bits(res.pred) == _bits(pred)
+        assert list(res.coeffs) == sorted(coeffs)
+        assert {p: _bits(c) for p, c in res.coeffs.items()} == {
+            p: _bits(c) for p, c in coeffs.items()
+        }
+        assert {p: _bits(c) for p, c in res.codebooks_t.items()} == {
+            p: _bits(c) for p, c in codebooks_t.items()
+        }
+    assert {p: _bits(q.codebook) for p, q in eng.quantizers.items()} == {
+        p: _bits(q.codebook) for p, q in ref.quantizers.items()
+    }
+    every = np.arange(50)
+    assert _bits(eng.history.matrix(every)) == _bits(ref.history.matrix(every))
+    assert eng.history.counts(every).tolist() == ref.history.counts(every).tolist()
+
+
+MODES = [(m, p) for m in ("global", "per_t", "fixed") for p in (True, False)]
+
+
+class TestMultiPartitionStep:
+    """One step over several partitions gives, bit for bit, what one
+    single-partition step per partition on a shared history gives."""
+
+    @pytest.mark.parametrize("codebook_mode,predict_enabled", MODES)
+    def test_equals_one_step_per_partition(self, codebook_mode, predict_enabled):
+        opts = dict(k=2, seed=3, predict_enabled=predict_enabled,
+                    codebook_mode=codebook_mode)
+        budget = 11 if codebook_mode == "fixed" else None
+        _assert_same_steps(EPQEngine(0.002, **opts), _PerPartitionSteps(0.002, **opts),
+                           _schedule(), budget)
+
+    def test_schedule_covers_cold_ramp_and_warm_rows(self):
+        """The schedule above reaches every prediction case."""
+        h = History(2)
+        seen = set()
+        for _, ids, _, pids in _schedule():
+            counts = h.counts(ids)
+            seen |= {"cold" if c == 0 else "ramp" if c == 1 else "warm" for c in counts}
+            assert (counts[pids == 9] == 0).all()
+            h.push(ids, np.zeros((len(ids), 2)))
+        assert seen == {"cold", "ramp", "warm"}
+
+    def test_partition_without_warm_rows_has_zero_coefficients(self):
+        eng = EPQEngine(0.002, k=2, seed=3)
+        for t, ids, pts, pids in _schedule():
+            res = eng.step(t, ids, pts, pids)
+            if t >= 2:
+                assert res.coeffs[9].tolist() == [0.0, 0.0]
+            if t >= 3:
+                assert np.abs(res.coeffs[0]).max() > 0
+
+    def test_first_step_on_empty_history(self):
+        t, ids, pts, pids = _schedule()[0]
+        res = EPQEngine(0.002, k=2, seed=3).step(t, ids, pts, pids)
+        assert _bits(res.pred) == _bits(np.zeros_like(pts))
+        assert all(c.tolist() == [0.0, 0.0] for c in res.coeffs.values())
+
+    @pytest.mark.parametrize("codebook_mode", ["global", "per_t", "fixed"])
+    def test_singular_stacked_solve_falls_back_per_partition(
+        self, monkeypatch, codebook_mode
+    ):
+        """When the stacked solve raises ``LinAlgError``, each partition is
+        fitted alone with ``fit_coeffs``: the same bits as before."""
+        solve = np.linalg.solve
+        stacked = []
+
+        def singular_when_stacked(a, b):
+            if np.ndim(a) == 3:
+                stacked.append(len(a))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_when_stacked)
+        opts = dict(k=2, seed=3, predict_enabled=True, codebook_mode=codebook_mode)
+        budget = 11 if codebook_mode == "fixed" else None
+        _assert_same_steps(EPQEngine(0.002, **opts), _PerPartitionSteps(0.002, **opts),
+                           _schedule(), budget)
+        assert len(stacked) == len(_schedule()) - 2  # every step with warm rows
+        assert max(stacked) > 1
+
+    def test_fallback_coefficients_are_fit_coeffs(self, monkeypatch):
+        solve = np.linalg.solve
+
+        def singular_when_stacked(a, b):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        schedule = _schedule()
+        ref = EPQEngine(0.002, k=2, seed=3)
+        for t, ids, pts, pids in schedule[:-1]:
+            ref.step(t, ids, pts, pids)
+        t, ids, pts, pids = schedule[-1]
+        expect = {}
+        for pid in np.unique(pids).tolist():
+            rows = pids == pid
+            warm = ref.history.warm_ids(ids[rows])
+            if warm.any():
+                hist = ref.history.matrix(ids[rows][warm])
+                expect[pid] = fit_coeffs(hist, pts[rows][warm])
+        monkeypatch.setattr(np.linalg, "solve", singular_when_stacked)
+        res = ref.step(t, ids, pts, pids)
+        assert len(expect) > 1
+        for pid, c in expect.items():
+            assert _bits(res.coeffs[pid]) == _bits(c)

@@ -13,7 +13,14 @@ and index, ``summary_bits()`` and ``n_codewords()``.
 ``GOLDEN_PARTS`` records, per variant, one sha256 over the summary's
 other stored parts: ``codebooks``, ``codebooks_t`` and ``coeffs``, each
 over its sorted keys.
+
+``GOLDEN_BENCH`` records all of the above for the builds the benchmark
+times: porto PPQ-A and geolife PPQ-S at BENCH scale on the datasets of
+generator seed 16, the first dataset of a benchmark run with seed 1.
+These builds keep 5-6 partitions live per timestep, where the QUICK ones
+keep fewer.
 """
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -21,7 +28,7 @@ import pandas as pd
 import pytest
 
 from repro.core.ppq import run_ppq
-from repro.harness.config import QUICK
+from repro.harness.config import BENCH, QUICK
 
 GOLDEN = {
     ("porto", "A"): (
@@ -288,3 +295,37 @@ GOLDEN_PARTS = {
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_stored_parts_match_golden(dataset, variant):
     assert _parts_digest(_build(dataset, variant)) == GOLDEN_PARTS[(dataset, variant)]
+
+
+GOLDEN_BENCH = {
+    ("porto", "A"): (
+        "29fef890c895fc50b62f0e9d9c012540c08cc4e2c0441b528bec25ba8d7fc5f8",
+        "4124222cc71416265956ac8d82345d91b49e13b358e4854f8386493e5f6873bf",
+        "a58554cda97eb9b0dc77d64d0215cbe933498f176900800f502fac2c9784fb09",
+        831980,
+        1011,
+    ),
+    ("geolife", "S"): (
+        "ed483419f16f42ddac4bfe0035f9079a378114f137d88b25ceecc413eb84a600",
+        "f9f2b6a348a6588497abcd45f5b054798c17d4c3f18e6915e0fc017e4bb3fba6",
+        "e796a325fc47cea08da03a5bd0d98c83c8e958d78d6a11037da0254dfd93bac0",
+        588404,
+        367,
+    ),
+}
+
+
+@pytest.mark.parametrize("dataset,mode", sorted(GOLDEN_BENCH))
+def test_bench_build_matches_golden(dataset, mode):
+    ds = dataclasses.replace(BENCH.dataset(dataset), seed=16)
+    s = run_ppq(
+        ds.load(),
+        mode=mode,
+        use_cqc=True,
+        eps1=BENCH.eps1,
+        eps_p=ds.eps_p_auto if mode == "A" else ds.eps_p_spatial,
+        gs=BENCH.gs,
+        seed=BENCH.seed,
+    )
+    got = (*_frame_digests(s.coded), _parts_digest(s), s.summary_bits(), s.n_codewords())
+    assert got == GOLDEN_BENCH[(dataset, mode)]

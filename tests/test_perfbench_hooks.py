@@ -50,10 +50,10 @@ def test_traced_ppqa_build_reaches_the_layers(tracing, porto_pts):
     assert [owner.__dict__[attr] for owner, attr, _ in patches] == originals
 
 
-def test_traced_ppqs_build_counts_one_step_per_live_partition(tracing, geolife_pts):
-    """Under the wrappers a PPQ-S build runs one partitioner update per
-    timestep, and one ``EPQEngine.step`` and one quantize per partition live
-    at that timestep, so the traced counters count exactly that."""
+def test_traced_ppqs_build_counts_one_step_per_timestep(tracing, geolife_pts):
+    """Under the wrappers a PPQ-S build runs one partitioner update and one
+    ``EPQEngine.step`` per timestep, and one quantize per partition live at
+    that timestep, so the traced counters count exactly that."""
     patches = tracing.layer_patches(False)
     tracer = tracing.Tracer()
     with tracing.installed(tracer, patches):
@@ -64,7 +64,7 @@ def test_traced_ppqs_build_counts_one_step_per_live_partition(tracing, geolife_p
     assert len(s.partition_stats) == n_steps
     assert live > n_steps  # more than one partition at some timestep
     assert calls["core.partitioning.update"] == n_steps
-    assert calls["core.epq.step"] == live
+    assert calls["core.epq.step"] == n_steps
     assert calls["core.quantizer.quantize"] == live
 
 

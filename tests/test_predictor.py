@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.epq import EPQEngine
-from repro.core.predictor import History, fit_coeffs, predict
+from repro.core.predictor import History, fit_coeffs, normal_equations, predict
 
 
 class TestFitCoeffs:
@@ -49,6 +49,26 @@ class TestFitCoeffs:
         pred_err = np.abs(cur - predict(hist, coeffs)).mean()
         naive_err = np.abs(cur - hist[:, 0]).mean()  # last-value predictor
         assert pred_err < naive_err
+
+
+class TestNormalEquations:
+    def test_each_group_as_if_fitted_alone(self):
+        """Every group's system is, bit for bit, what one fit of that group
+        alone builds: its x rows over its y rows as one design matrix A,
+        and the ridge scaled by its own max|A|²."""
+        g = np.random.default_rng(12)
+        bounds = np.array([0, 1, 8, 11, 31, 33])
+        n = bounds[-1]
+        hist = np.array([116.3, 39.9]) + g.random((n, 2, 2))
+        cur = hist[:, 0] + g.normal(0, 1e-3, (n, 2))
+        ata, atb = normal_equations(hist, cur, bounds)
+        assert ata.shape == (5, 2, 2) and atb.shape == (5, 2)
+        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            a = np.concatenate([hist[lo:hi, :, 0], hist[lo:hi, :, 1]], axis=0)
+            b = np.concatenate([cur[lo:hi, 0], cur[lo:hi, 1]], axis=0)
+            want = a.T @ a + 1e-10 * np.eye(2) * max(1.0, np.abs(a).max() ** 2)
+            assert ata[j].tobytes() == want.tobytes()
+            assert atb[j].tobytes() == (a.T @ b).tobytes()
 
 
 class TestPredict:
@@ -132,6 +152,26 @@ class TestHistory:
             assert h.counts(np.array([unknown])).tolist() == [0]
         assert h.counts(np.array([0, 5, 7, 9, 100])).tolist() == [0, 1, 0, 1, 0]
 
+    def test_matrix_of_fresh_history_is_zero(self):
+        """Ids never pushed read zero rows, also before the first push."""
+        m = History(k=2).matrix(np.array([5, 0, 2**40]))
+        assert m.shape == (3, 2, 2)
+        assert not m.any()
+        assert History(k=3).matrix(np.array([], dtype=np.int64)).shape == (0, 3, 2)
+
+    def test_matrix_mixes_known_and_unknown_ids(self):
+        h = History(k=2)
+        h.push(np.array([5, 9]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        h.push(np.array([9]), np.array([[5.0, 6.0]]))
+        m = h.matrix(np.array([0, 9, 7, 5, 100]))
+        assert m.tolist() == [
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[5.0, 6.0], [3.0, 4.0]],
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[1.0, 2.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 0.0]],
+        ]
+
     def test_matrix_rows_follow_id_order(self):
         h = History(k=1)
         h.push(np.array([1, 2, 3]), np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
@@ -156,4 +196,4 @@ class TestEPQStepHistory:
         assert np.array_equal(res.pred[1], last_ramping)
         coeffs = fit_coeffs(hist[:1], pts[2:])
         assert np.array_equal(res.pred[2], predict(hist[:1], coeffs)[0])
-        assert np.array_equal(res.coeffs, coeffs)
+        assert np.array_equal(res.coeffs[0], coeffs)
