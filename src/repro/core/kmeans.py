@@ -7,15 +7,32 @@ loop as bisecting splits of violating clusters, which terminates (a
 singleton always satisfies any eps >= 0) and matches Lemma 1's
 O(q*m*N*l) shape: each round splits every violating cluster once.
 
-The splits run a dedicated 2-means (``_split_two``) instead of the generic
-``kmeans``, and each round measures the clusters it changed in one pass.
-Both give the bits the generic code gives.
+The splits run a dedicated 2-means instead of the generic ``kmeans``, and
+each round measures only the clusters it changed. Two kernels do this
+work, chosen per cluster by size: a 2-D cluster of at most ``SMALL``
+points is measured and split on Python floats (``_measure_small``,
+``_split_two_small``), because numpy's fixed cost per call outweighs its
+speed on a handful of rows; larger clusters, and every cluster of one or
+three-plus coordinates, are measured in one numpy pass and split by
+``_split_two``. ``SMALL`` sits below the size where the two cost the
+same per split and per measured cluster (about 64 points); the index's
+insertion PIs (about 16 points) fall below it and PPQ-A's partitioner
+re-splits (about 120) above. The Python kernels repeat numpy's arithmetic
+in numpy's order -- sums from +0.0 row by row, ``x*x`` squares, the first
+of equal minima or maxima -- so every kernel gives the bits the generic
+code gives.
 """
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 
 import numpy as np
+
+#: Largest 2-D cluster ``grow_partition`` measures and splits on Python
+#: floats. Per split and per measured cluster, Python cost 0.6x numpy's at
+#: 16 points, 0.8x at 48 and 1.0x at 64, so the rule stays below the tie.
+SMALL = 48
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,11 +146,78 @@ def _split_two(pts: np.ndarray, seed: int) -> np.ndarray:
                 c1[i] = s1 / n1
     if 0 < n1 < n:
         return lab
+    return _median_split(pts)
+
+
+def _median_split(pts: np.ndarray) -> np.ndarray:
+    """The splits' fallback: True above the median of the widest axis, or
+    the first half when every value is the same."""
     axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
     lab = pts[:, axis] > np.median(pts[:, axis])
     if not lab.any():  # all identical values
-        lab[: n // 2] = True
+        lab[: len(pts) // 2] = True
     return lab
+
+
+def _measure_small(rows: list) -> tuple[tuple[float, float], float]:
+    """Centroid and radius of a cluster's 2-D ``rows`` (lists of two
+    Python floats), with the bits of ``grow_partition``'s numpy pass: the
+    sums start from +0.0 and add rows in order, as numpy's axis-0
+    reduction does (a column of -0.0 sums to +0.0), and the squares are
+    ``x*x``, as ``np.square``'s are."""
+    sx = sy = 0.0
+    for x, y in rows:
+        sx += x
+        sy += y
+    cx = sx / len(rows)
+    cy = sy / len(rows)
+    r2 = max([(dx := x - cx) * dx + (dy := y - cy) * dy for x, y in rows])
+    return (cx, cy), math.sqrt(r2)
+
+
+def _split_two_small(rows: list, seed: int) -> list[bool]:
+    """``_split_two``'s labels for a cluster's 2-D ``rows`` (lists of two
+    Python floats), computed on Python floats.
+
+    The first seed is the same ``default_rng(seed)`` draw as
+    ``farthest_first``'s and the second the first row farthest from it, as
+    ``argmax`` picks. The Lloyd sums start from +0.0 and add rows in
+    order, as ``np.bincount`` does; a tie keeps the first centroid. The
+    median fallback runs on numpy.
+    """
+    n = len(rows)
+    c0x, c0y = rows[np.random.default_rng(seed).integers(0, n)]
+    d2 = [(dx := x - c0x) * dx + (dy := y - c0y) * dy for x, y in rows]
+    c1x, c1y = rows[d2.index(max(d2))]
+    lab = None
+    for _ in range(8):
+        new = [
+            (ax := x - c1x) * ax + (ay := y - c1y) * ay
+            < (bx := x - c0x) * bx + (by := y - c0y) * by
+            for x, y in rows
+        ]
+        if new == lab:
+            break
+        lab = new
+        s0x = s0y = s1x = s1y = 0.0
+        n1 = 0
+        for (x, y), second in zip(rows, lab):
+            if second:
+                s1x += x
+                s1y += y
+                n1 += 1
+            else:
+                s0x += x
+                s0y += y
+        if n1 < n:
+            c0x = s0x / (n - n1)
+            c0y = s0y / (n - n1)
+        if n1:
+            c1x = s1x / n1
+            c1y = s1y / n1
+    if 0 < n1 < n:
+        return lab
+    return _median_split(np.array(rows)).tolist()
 
 
 def grow_partition(
@@ -145,11 +229,21 @@ def grow_partition(
     split rounds (the paper's m in Lemma 1). Each label keeps its member
     indices in ascending order, so a round only recomputes the centroid and
     radius of the clusters the previous round split; the others keep theirs.
-    Those clusters are measured in one pass: their members are gathered
-    once, each centroid is ``centroid``'s reduction over its own contiguous
-    rows and the radii come from one ``np.maximum.reduceat`` over the
-    squared distances (the root of the largest is the largest root, as a
-    correctly rounded sqrt is monotone).
+
+    Two kernels measure and split a cluster, chosen per cluster by its
+    size. A 2-D cluster of at most ``SMALL`` points (finite input) runs on
+    Python floats: ``_measure_small`` and ``_split_two_small`` over its
+    rows of one ``pts.tolist()``, with no numpy call per step. The larger
+    clusters, and every cluster of other dimensions, are measured in one
+    numpy pass -- their members are gathered once, each centroid is
+    ``centroid``'s reduction over its own contiguous rows and the radii
+    come from one ``np.maximum.reduceat`` over the squared distances (the
+    root of the largest is the largest root, as a correctly rounded sqrt is
+    monotone) -- and split by ``_split_two``. The Python kernels repeat
+    numpy's operations in numpy's order, so both give the same bits; one
+    coordinate stays on numpy, whose sum over an (n, 1) column is pairwise
+    rather than in order, and so does input with a non-finite value, where
+    numpy's max and argmax propagate NaN and Python's do not.
     """
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim == 1:
@@ -157,33 +251,55 @@ def grow_partition(
     n, dim = pts.shape
     if n == 0:
         return np.zeros(0, dtype=np.int64), np.zeros((0, dim)), 0
-    members = [np.arange(n)]
+    small = SMALL if dim == 2 and np.isfinite(pts).all() else 0
+    rows = None  # pts.tolist(), once a cluster is small
+    # a small cluster's members are a list, a larger one's an array
+    members: list = [list(range(n)) if n <= small else np.arange(n)]
     centroids: list = [None]
     changed = [0]  # labels whose members changed, ascending
     rounds = 0
     while True:
-        segs = [members[j] for j in changed]
-        lens = [len(m) for m in segs]
-        starts = [0, *accumulate(lens[:-1])]
-        sub = pts[np.concatenate(segs)]
-        cents = np.array(
-            [np.add.reduce(sub[s : s + ln]) for s, ln in zip(starts, lens)]
-        ) / np.array(lens)[:, None]
-        d2 = np.add.reduce((sub - np.repeat(cents, lens, axis=0)) ** 2, axis=1)
-        radii = np.sqrt(np.maximum.reduceat(d2, starts)).tolist()
-        viol = []
-        for j, c, r, ln in zip(changed, cents, radii, lens):
-            centroids[j] = c
-            if r > eps and ln > 1:
-                viol.append(j)
+        radius = {}
+        sub_rows = {}  # small clusters' rows, for their split
+        big = []
+        for j in changed:
+            idx = members[j]
+            if len(idx) > small:
+                big.append(j)
+                continue
+            if rows is None:
+                rows = pts.tolist()
+            if not isinstance(idx, list):
+                members[j] = idx = idx.tolist()
+            sub_rows[j] = cl = [rows[i] for i in idx]
+            centroids[j], radius[j] = _measure_small(cl)
+        if big:
+            segs = [members[j] for j in big]
+            lens = [len(m) for m in segs]
+            starts = [0, *accumulate(lens[:-1])]
+            sub = pts[np.concatenate(segs)]
+            cents = np.array(
+                [np.add.reduce(sub[s : s + ln]) for s, ln in zip(starts, lens)]
+            ) / np.array(lens)[:, None]
+            d2 = np.add.reduce((sub - np.repeat(cents, lens, axis=0)) ** 2, axis=1)
+            radii = np.sqrt(np.maximum.reduceat(d2, starts)).tolist()
+            for j, c, r in zip(big, cents, radii):
+                centroids[j] = c
+                radius[j] = r
+        viol = [j for j in changed if radius[j] > eps and len(members[j]) > 1]
         if not viol:
             break
         rounds += 1
         for j in viol:
             idx = members[j]
-            second = _split_two(pts[idx], seed + rounds + j)
-            members[j] = idx[~second]
-            members.append(idx[second])
+            if j in sub_rows:
+                second = _split_two_small(sub_rows[j], seed + rounds + j)
+                members[j] = [i for i, s in zip(idx, second) if not s]
+                members.append([i for i, s in zip(idx, second) if s])
+            else:
+                second = _split_two(pts[idx], seed + rounds + j)
+                members[j] = idx[~second]
+                members.append(idx[second])
         changed = viol + list(range(len(centroids), len(members)))
         centroids += [None] * len(viol)  # set when ``changed`` is visited
     labels = np.empty(n, dtype=np.int64)

@@ -63,12 +63,15 @@ class EncodedIds:
 def encode_ids(ids) -> EncodedIds:
     """Delta + Huffman encode a list of trajectory IDs (an int array or a
     sequence of ints). Cell lists are mostly one or two IDs long, so the
-    sort, delta code and symbol count run on plain Python ints, and a list
-    with one distinct delta skips the Huffman construction."""
+    sort, delta code and symbol count run on plain Python ints, a list with
+    one distinct delta skips the Huffman construction, and a one-ID list
+    (most cells) returns its encoding at once: the ID is its only delta,
+    coded as one 0 bit."""
     if isinstance(ids, np.ndarray):
-        ids = sorted(ids.astype(np.int64, copy=False).tolist())
-    else:
-        ids = sorted(map(int, ids))
+        ids = ids.astype(np.int64, copy=False).tolist()
+    if len(ids) == 1:  # positional: passing keywords costs more than the rest
+        return EncodedIds(b"\x00", 1, {int(ids[0]): 1}, 1)
+    ids = sorted(map(int, ids))
     if not ids:
         return EncodedIds(data=b"", n_ids=0, lengths={}, encoded_bits=0)
     deltas = []

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.kmeans import grow_partition
 from repro.index.idcodec import EncodedIds, decode_ids, encode_ids
-from repro.index.rectangles import Rect, mbr, remove_overlap
+from repro.index.rectangles import Rect, mbrs, remove_overlap
 
 CellKey = tuple[int, int, int]  # (rect_idx, cx, cy)
 
@@ -88,14 +88,20 @@ class PI:
         # group the points by cell: sort by key, one ID list per run of keys
         order = np.lexsort((cy, cx, ri))
         ri, cx, cy = ri[order], cx[order], cy[order]
-        firsts = np.flatnonzero(
-            np.diff(ri, prepend=-1) | np.diff(cx, prepend=0) | np.diff(cy, prepend=0)
-        )
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (ri[1:] != ri[:-1]) | (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])
+        firsts = np.flatnonzero(first)
         cell_ids = np.asarray(ids)[sel[order]].tolist()
         ends = firsts[1:].tolist() + [len(order)]
         keys = zip(ri[firsts].tolist(), cx[firsts].tolist(), cy[firsts].tolist())
+        cells = self.cells
         for key, lo, hi in zip(keys, firsts.tolist(), ends):
-            self.cells.setdefault(key, {})[t] = encode_ids(cell_ids[lo:hi])
+            enc = encode_ids(cell_ids[lo:hi])
+            per_t = cells.get(key)
+            if per_t is None:
+                cells[key] = {t: enc}
+            else:
+                per_t[t] = enc
         self.build_seconds += time.perf_counter() - start
         return ~covered
 
@@ -104,7 +110,8 @@ class PI:
         off = len(self.rects)
         self.rects.extend(other.rects)
         self._bounds = np.concatenate([self._bounds, other._bounds])
-        self._sizes = _grid_sizes(self._bounds, self.gc)
+        self._sizes = np.concatenate([self._sizes, _grid_sizes(other._bounds, self.gc)])
+        self._sizes.flags.writeable = False
         for (ri, cx, cy), per_t in other.cells.items():
             self.cells[(ri + off, cx, cy)] = per_t
         self.build_seconds += other.build_seconds
@@ -186,8 +193,7 @@ def build_pi(
     xy = np.column_stack([xs, ys]).astype(np.float64)
     labels, _, _ = grow_partition(xy, eps_s, seed=seed)
     region_list: list[Rect] = []
-    for j in np.unique(labels):
-        r = mbr(xy[labels == j])
+    for r in mbrs(xy, labels):
         region_list.extend(remove_overlap(r, region_list))
     pi = PI(gc=gc, rects=region_list, built_at=t)
     pi.build_seconds = time.perf_counter() - start

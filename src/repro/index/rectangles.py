@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.partitioning import group_rows
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -56,16 +58,20 @@ class Rect:
         )
 
 
-def mbr(pts: np.ndarray, *, pad: float = 1e-12) -> Rect:
-    """Minimum bounding rectangle of (n, 2) points (half-open safe: the
-    max edge is padded so boundary points stay inside)."""
-    pts = np.atleast_2d(pts)
-    return Rect(
-        float(pts[:, 0].min()),
-        float(pts[:, 1].min()),
-        float(pts[:, 0].max()) + pad,
-        float(pts[:, 1].max()) + pad,
-    )
+#: Added to an MBR's max edges, so points on them stay inside the
+#: half-open rectangle.
+MBR_PAD = 1e-12
+
+
+def mbrs(pts: np.ndarray, labels: np.ndarray) -> list[Rect]:
+    """Minimum bounding rectangle of each label's (n, 2) points, in
+    ascending label order, with ``MBR_PAD`` on the max edges. One grouping
+    and one min/max reduction cover every label."""
+    _, order, bounds = group_rows(np.asarray(labels))
+    grouped = np.asarray(pts, dtype=np.float64)[order]
+    lo = np.minimum.reduceat(grouped, bounds[:-1], axis=0).tolist()
+    hi = (np.maximum.reduceat(grouped, bounds[:-1], axis=0) + MBR_PAD).tolist()
+    return [Rect(x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(lo, hi)]
 
 
 def subtract_one(r: Rect, cut: Rect) -> list[Rect]:

@@ -2,8 +2,11 @@
 import numpy as np
 import pytest
 
+from repro.core import kmeans as kmeans_mod
 from repro.core.kmeans import (
+    SMALL,
     _split_two,
+    _split_two_small,
     centroid,
     grow_partition,
     kmeans,
@@ -198,7 +201,7 @@ class TestGrowPartitionMatchesLoop:
         got = grow_partition(pts, eps, seed=seed)
         want = _loop_grow_partition(pts, eps, seed=seed)
         assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        assert got[1].tobytes() == want[1].tobytes()  # -0.0 too
         assert got[2] == want[2]
         assert got[0].dtype == want[0].dtype and got[1].shape == want[1].shape
 
@@ -238,6 +241,69 @@ class TestGrowPartitionMatchesLoop:
         pts = np.array([116.3, 39.9]) + g.normal(0, 1e-3, (150, 2))
         self._check(pts, 1e-4, seed=5)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, SMALL, SMALL + 1, 2 * SMALL])
+    @pytest.mark.parametrize("eps", [0.0, 1e-4, 0.3])
+    def test_sizes_across_small_rule(self, n, eps):
+        """Inputs at and around ``SMALL``, where the Python-float and numpy
+        kernels take over from each other."""
+        g = np.random.default_rng(n)
+        for seed in range(3):
+            self._check(g.normal(0, 1, (n, 2)), eps, seed=seed)
+            degrees = np.array([116.3, 39.9]) + g.normal(0, 1e-3, (n, 2))
+            self._check(degrees, eps * 1e-2, seed=seed)
+            base = np.round(g.normal(0, 1, (int(g.integers(1, 5)), 2)), 1)
+            self._check(base[g.integers(0, len(base), n)], eps, seed=seed)
+            # integer grids put points exactly midway between two centroids
+            self._check(g.integers(0, 3, (n, 2)).astype(np.float64), eps, seed=seed)
+
+    @pytest.mark.parametrize("n", [3, 7, SMALL, 2 * SMALL])
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_negative_zero(self, n, eps):
+        """A cluster whose coordinates are all -0.0 has a +0.0 centroid:
+        numpy's axis-0 sum starts from +0.0, not from the first row."""
+        g = np.random.default_rng(n)
+        pts = np.where(g.random((n, 2)) < 0.7, -0.0, g.integers(1, 4, (n, 2)) * 2.0)
+        self._check(pts, eps, seed=n)
+        self._check(np.full((n, 2), -0.0), eps)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input(self, bad):
+        """Numpy's max and argmax propagate NaN where Python's skip it, so
+        input with a non-finite value stays on numpy."""
+        pts = np.random.default_rng(12).normal(0, 1, (20, 2))
+        pts[5, 0] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = grow_partition(pts, 0.1, seed=1)
+            want = _loop_grow_partition(pts, 0.1, seed=1)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1], equal_nan=True)
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_kernel_chosen_by_cluster_size(self, dim, monkeypatch):
+        """2-D clusters of at most ``SMALL`` points split on Python floats,
+        the rest (and any other dimension) on numpy."""
+        sizes = {"numpy": [], "python": []}
+
+        def spy(name, fn):
+            def wrapped(pts, seed):
+                sizes[name].append(len(pts))
+                return fn(pts, seed)
+
+            return wrapped
+
+        monkeypatch.setattr(kmeans_mod, "_split_two", spy("numpy", _split_two))
+        monkeypatch.setattr(
+            kmeans_mod, "_split_two_small", spy("python", _split_two_small)
+        )
+        pts = np.random.default_rng(dim).normal(0, 1, (4 * SMALL, dim))
+        self._check(pts, 0.05)
+        assert sizes["numpy"] and min(sizes["numpy"]) > (SMALL if dim == 2 else 0)
+        if dim == 2:
+            assert sizes["python"] and max(sizes["python"]) <= SMALL
+        else:
+            assert not sizes["python"]
+
 
 class TestSplitTwoMatchesKMeans:
     """The dedicated 2-means marks the same second group as the generic
@@ -250,6 +316,8 @@ class TestSplitTwoMatchesKMeans:
         got, want = _split_two(pts, seed), _kmeans_split(pts, seed)
         assert got.dtype == bool
         assert np.array_equal(got, want == 1)
+        if pts.shape[1] == 2:  # the Python-float kernel, at any size
+            assert _split_two_small(pts.tolist(), seed) == (want == 1).tolist()
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -291,6 +359,32 @@ class TestSplitTwoMatchesKMeans:
         pairwise sum of ``centroid`` gives the earlier split (in-order
         bincount sums move a point here)."""
         self._check(np.asarray(vals, dtype=np.float64)[:, None], seed)
+
+    @pytest.mark.parametrize("n", [2, 3, SMALL, SMALL + 1, 2 * SMALL])
+    def test_sizes_across_small_rule(self, n):
+        g = np.random.default_rng(n)
+        for seed in range(6):
+            self._check(g.normal(0, 1, (n, 2)), seed)
+            self._check(np.array([116.3, 39.9]) + g.normal(0, 1e-4, (n, 2)), seed)
+            self._check(np.round(g.normal(0, 1, (n, 2)), 0), seed)
+            self._check(g.integers(0, 3, (n, 2)).astype(np.float64), seed)
+
+    @pytest.mark.parametrize("n", [2, 5, SMALL, 2 * SMALL])
+    def test_midpoint_ties(self, n):
+        """Points exactly midway between the two seeds (equal squared
+        distances): each stays with the first centroid."""
+        for seed in range(8):
+            pts = np.zeros((n, 2))
+            pts[:, 0] = np.tile([-1.0, 0.0, 1.0], n)[:n]
+            pts[:, 1] = np.tile([0.0, 0.0, 0.0, 2.0, -2.0], n)[:n]
+            self._check(pts, seed)
+            self._check(pts * 1e-4 + np.array([116.3, 39.9]), seed)
+
+    def test_negative_zero(self):
+        g = np.random.default_rng(13)
+        for n in (2, 3, SMALL):
+            pts = np.where(g.random((n, 2)) < 0.6, -0.0, g.integers(1, 3, (n, 2)) * 1.0)
+            self._check(pts, n)
 
     @pytest.mark.parametrize("spread", [1e-6, 1e-4, 1e-2])
     def test_lon_lat_scale(self, spread):

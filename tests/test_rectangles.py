@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.index.rectangles import Rect, mbr, remove_overlap, subtract_one
+from repro.index.rectangles import Rect, mbrs, remove_overlap, subtract_one
 
 
 class TestRect:
@@ -37,22 +37,54 @@ class TestRect:
         assert not Rect(0, 0, 0.1, 1).is_empty()
 
 
+def _loop_mbr(pts, pad=1e-12):
+    """The earlier one-label MBR: four reductions over the label's rows."""
+    return Rect(
+        float(pts[:, 0].min()),
+        float(pts[:, 1].min()),
+        float(pts[:, 0].max()) + pad,
+        float(pts[:, 1].max()) + pad,
+    )
+
+
 class TestMBR:
     def test_covers_all_points(self):
         g = np.random.default_rng(0)
         pts = g.random((100, 2))
-        r = mbr(pts)
+        (r,) = mbrs(pts, np.zeros(100, dtype=np.int64))
         assert r.contains_many(pts[:, 0], pts[:, 1]).all()
 
     def test_boundary_point_included(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        r = mbr(pts)
+        (r,) = mbrs(pts, np.zeros(2, dtype=np.int64))
         assert r.contains(1.0, 1.0)  # max edge padded
 
     def test_single_point(self):
-        r = mbr(np.array([[2.0, 3.0]]))
+        (r,) = mbrs(np.array([[2.0, 3.0]]), np.zeros(1, dtype=np.int64))
         assert r.contains(2.0, 3.0)
         assert r.area > 0
+
+    def test_no_points(self):
+        assert mbrs(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)) == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_label_loop(self, seed):
+        """One rectangle per label in ascending label order, each with the
+        bits of that label's own masked reductions."""
+        g = np.random.default_rng(seed)
+        n = int(g.integers(1, 300))
+        pts = np.array([116.3, 39.9]) + g.normal(0, 10.0 ** g.uniform(-6, 0), (n, 2))
+        labels = g.integers(0, int(g.integers(1, 20)), n)
+        labels = np.unique(labels, return_inverse=True)[1]  # 0..k-1, all used
+        want = [_loop_mbr(pts[labels == j]) for j in np.unique(labels)]
+        assert mbrs(pts, labels) == want
+
+    def test_each_label_covered(self):
+        g = np.random.default_rng(7)
+        pts = g.random((60, 2))
+        labels = np.repeat(np.arange(6), 10)[g.permutation(60)]
+        for j, r in enumerate(mbrs(pts, labels)):
+            assert r.contains_many(pts[labels == j, 0], pts[labels == j, 1]).all()
 
 
 class TestSubtractOne:
