@@ -53,18 +53,17 @@ def layout_tpi(tpi, store: PageStore) -> None:
     cells) in the Table 9 I/O ordering.
     """
     for pidx, period in enumerate(tpi.periods):
-        for (ri, cx, cy), per_t in sorted(period.pi.cells.items()):
-            nbytes = sum(enc.n_ids for enc in per_t.values()) * BYTES_PER_POINT
-            store.write(("tpi", pidx, ri, cx, cy), nbytes)
+        cells, counts = period.pi.cell_counts()
+        for cell, n in zip(cells, counts.tolist()):
+            store.write(("tpi", pidx, *cell), n * BYTES_PER_POINT)
 
 
 def layout_pis(pis: dict[int, object], store: PageStore) -> None:
     """Write per-timestamp PIs grouped by (t, rect, cell)."""
     for t in sorted(pis):
-        for (ri, cx, cy), per_t in sorted(pis[t].cells.items()):
-            enc = per_t.get(t)
-            if enc:
-                store.write(("pi", t, ri, cx, cy), enc.n_ids * BYTES_PER_POINT)
+        cells, counts = pis[t].cell_counts(t)
+        for cell, n in zip(cells, counts.tolist()):
+            store.write(("pi", t, *cell), n * BYTES_PER_POINT)
 
 
 def layout_trajstore(ts, store: PageStore) -> None:

@@ -6,6 +6,25 @@ so rectangles are disjoint, and grid every rectangle into cells of size
 ``g_c``. Each (rect, cell) stores, per timestamp, the delta+Huffman
 compressed list of trajectory IDs whose point falls in the cell.
 
+Storage is one set of columns per timestamp (``_Columns``): the occupied
+cells' packed keys in ascending order, CSR offsets into the IDs of every
+cell, and the ``encode_ids`` output of each list with two or more IDs. A
+one-ID list (nearly every cell) is stored as its ID alone: its encoding is
+fixed by that ID (one 0 bit and a one-symbol table), so the stored
+information and the counted bits are those of the encoded list, with no
+Python object per (cell, t) entry. ``PI.cells`` rebuilds the
+``{(ri, cx, cy): {t: EncodedIds}}`` mapping from the columns on each read.
+
+A cell's key packs ``(ri, cx, cy)`` into one int64: rectangle ``ri`` owns
+the keys ``[base[ri], base[ri] + sx * sy)``, where ``sx = (x1 - x0) // g_c
++ 1`` is the number of ``cx`` values a point in ``[x0, x1)`` can get
+(likewise ``sy``), and the key is ``base[ri] + cx * sy + cy``. Keys
+therefore sort as ``(ri, cx, cy)`` tuples do and never collide. ``//``
+gives the exact floor below 2^51, so ``cx < sx`` holds for every covered
+point while ``sx`` and ``sy`` are at most 2^51; a PI whose grid is finer
+than that, or whose rectangles need more than 2^63 - 1 keys, is refused
+with ``ValueError``.
+
 The same PI object indexes later timestamps of its period (``add_points``)
 -- that is how TPI reuses structure -- and can absorb extra rectangles for
 uncovered points ("Insertion", ``extend``).
@@ -14,6 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,28 +43,106 @@ from repro.index.rectangles import Rect, mbrs, remove_overlap
 
 CellKey = tuple[int, int, int]  # (rect_idx, cx, cy)
 
+#: Counted bits of any one-ID list: one code bit and one table entry.
+_ONE_ID_BITS = encode_ids([0]).total_bits
 
-@dataclass
+_KEY_LIMIT = int(np.iinfo(np.int64).max)
+_AXIS_LIMIT = 2**51  # cells per axis where float // is still the exact floor
+
+
+class _Columns(NamedTuple):
+    """The ID lists of one timestamp, as columns over its occupied cells."""
+
+    keys: np.ndarray  # (n,) packed cell keys, ascending
+    offs: np.ndarray  # (n + 1,) cell i's IDs are ids[offs[i]:offs[i + 1]]
+    ids: np.ndarray  # every cell's IDs, cell after cell
+    encs: dict[int, EncodedIds]  # packed key -> encoding, lists of >= 2 IDs
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first of each run of equal values in sorted ``keys``."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(first)
+
+
+def _columns(keys: np.ndarray, ids: np.ndarray) -> _Columns:
+    """Group points by packed cell key; encode the lists of two or more."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    ids = ids[order]
+    starts = _run_starts(keys)
+    offs = np.append(starts, len(keys))
+    cell_keys = keys[starts]
+    encs = {}
+    for i in np.flatnonzero(np.diff(offs) > 1).tolist():
+        encs[int(cell_keys[i])] = encode_ids(ids[offs[i] : offs[i + 1]])
+    return _Columns(cell_keys, offs, ids, encs)
+
+
+def _merge(a: _Columns, b: _Columns) -> _Columns:
+    """``a``'s cells with ``b``'s added; ``b``'s list replaces ``a``'s in a
+    cell both hold."""
+    at = np.minimum(np.searchsorted(b.keys, a.keys), len(b.keys) - 1)
+    keep = b.keys[at] != a.keys
+    keys = np.concatenate([a.keys[keep], b.keys])
+    starts = np.concatenate([a.offs[:-1][keep], b.offs[:-1] + len(a.ids)])
+    counts = np.concatenate([np.diff(a.offs)[keep], np.diff(b.offs)])
+    order = np.argsort(keys, kind="stable")
+    keys, starts, counts = keys[order], starts[order], counts[order]
+    offs = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offs[1:])
+    src = np.repeat(starts - offs[:-1], counts) + np.arange(offs[-1])
+    ids = np.concatenate([a.ids, b.ids])[src]
+    replaced = set(a.keys[~keep].tolist())
+    encs = {k: e for k, e in a.encs.items() if k not in replaced}
+    encs.update(b.encs)
+    return _Columns(keys, offs, ids, encs)
+
+
+def _read(at: _Columns, lo: int, hi: int) -> np.ndarray:
+    """IDs of the cells at positions ``lo .. hi - 1``: a one-ID list is its
+    ID, a longer one is decoded."""
+    a, b = at.offs[lo], at.offs[hi]
+    if b - a == hi - lo:  # one ID per cell
+        return at.ids[a:b].copy()
+    parts = [
+        at.ids[at.offs[i] : at.offs[i + 1]]
+        if at.offs[i + 1] - at.offs[i] == 1
+        else decode_ids(at.encs[int(at.keys[i])])
+        for i in range(lo, hi)
+    ]
+    return np.concatenate(parts)
+
+
+@dataclass(eq=False)
 class PI:
     """Disjoint rectangles + per-rectangle grid of compressed ID lists.
 
     ``rects`` only grows through ``extend``, which keeps the stacked
-    rectangle bounds and sizes the array code reads in step with it.
+    rectangle bounds, sizes and key ranges the array code reads in step
+    with it. Two PIs are equal only when they are the same object.
     """
 
     gc: float
     rects: list[Rect] = field(default_factory=list)
-    cells: dict[CellKey, dict[int, EncodedIds]] = field(default_factory=dict)
     built_at: int = 0
     build_seconds: float = 0.0
+    _at: dict[int, _Columns] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _bounds: np.ndarray = field(init=False, repr=False, compare=False)  # (R, 4)
     _sizes: np.ndarray = field(init=False, repr=False, compare=False)  # (R,)
+    _slots: np.ndarray = field(init=False, repr=False, compare=False)  # (R, 2)
+    _base: np.ndarray = field(init=False, repr=False, compare=False)  # (R,)
+    _n_keys: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._bounds = np.array(
             [(r.x0, r.y0, r.x1, r.y1) for r in self.rects], dtype=np.float64
         ).reshape(-1, 4)
         self._sizes = _grid_sizes(self._bounds, self.gc)
+        self._slots, self._base, self._n_keys = _key_ranges(self._bounds, self.gc, 0)
 
     # ---------------- geometry ----------------
     def rect_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -71,61 +169,82 @@ class PI:
                 return self.cell_of(ri, x, y)
         return None
 
+    def _unpack(self, keys: np.ndarray) -> list[CellKey]:
+        """``(ri, cx, cy)`` of each packed key."""
+        ri = np.searchsorted(self._base, keys, side="right") - 1
+        cx, cy = np.divmod(keys - self._base[ri], self._slots[ri, 1])
+        return list(zip(ri.tolist(), cx.tolist(), cy.tolist()))
+
     # ---------------- maintenance ----------------
     def add_points(
-        self, t: int, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray
+        self,
+        t: int,
+        ids: np.ndarray,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        *,
+        ri: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Index covered points at time ``t``; returns mask of uncovered."""
+        """Index covered points at time ``t``; returns mask of uncovered.
+
+        ``ri`` is ``rect_of(xs, ys)`` when the caller has it already. A
+        cell already holding a list at ``t`` gets the new list instead."""
         start = time.perf_counter()
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        ri = self.rect_of(xs, ys)
+        if ri is None:
+            ri = self.rect_of(xs, ys)
         covered = ri >= 0
         sel = np.flatnonzero(covered)
-        ri = ri[sel]
-        cx = ((xs[sel] - self._bounds[ri, 0]) // self.gc).astype(np.int64)
-        cy = ((ys[sel] - self._bounds[ri, 1]) // self.gc).astype(np.int64)
-        # group the points by cell: sort by key, one ID list per run of keys
-        order = np.lexsort((cy, cx, ri))
-        ri, cx, cy = ri[order], cx[order], cy[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (ri[1:] != ri[:-1]) | (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])
-        firsts = np.flatnonzero(first)
-        cell_ids = np.asarray(ids)[sel[order]].tolist()
-        ends = firsts[1:].tolist() + [len(order)]
-        keys = zip(ri[firsts].tolist(), cx[firsts].tolist(), cy[firsts].tolist())
-        cells = self.cells
-        for key, lo, hi in zip(keys, firsts.tolist(), ends):
-            enc = encode_ids(cell_ids[lo:hi])
-            per_t = cells.get(key)
-            if per_t is None:
-                cells[key] = {t: enc}
-            else:
-                per_t[t] = enc
+        if len(sel):
+            ri = ri[sel]
+            cx = ((xs[sel] - self._bounds[ri, 0]) // self.gc).astype(np.int64)
+            cy = ((ys[sel] - self._bounds[ri, 1]) // self.gc).astype(np.int64)
+            keys = self._base[ri] + cx * self._slots[ri, 1] + cy
+            new = _columns(keys, np.asarray(ids)[sel].astype(np.int64))
+            old = self._at.get(t)
+            self._at[t] = new if old is None else _merge(old, new)
         self.build_seconds += time.perf_counter() - start
         return ~covered
 
     def extend(self, other: "PI") -> None:
         """Absorb another PI's rectangles and cells (TPI "Insertion")."""
-        off = len(self.rects)
+        if other.gc != self.gc:
+            raise ValueError(f"cannot extend a PI of gc={self.gc} with gc={other.gc}")
+        shift = self._n_keys
+        slots, base, self._n_keys = _key_ranges(other._bounds, self.gc, shift)
         self.rects.extend(other.rects)
         self._bounds = np.concatenate([self._bounds, other._bounds])
         self._sizes = np.concatenate([self._sizes, _grid_sizes(other._bounds, self.gc)])
         self._sizes.flags.writeable = False
-        for (ri, cx, cy), per_t in other.cells.items():
-            self.cells[(ri + off, cx, cy)] = per_t
+        self._slots = np.concatenate([self._slots, slots])
+        self._base = np.concatenate([self._base, base])
+        for t, at in other._at.items():
+            moved = _Columns(
+                at.keys + shift, at.offs, at.ids,
+                {k + shift: e for k, e in at.encs.items()},
+            )
+            old = self._at.get(t)
+            self._at[t] = moved if old is None else _merge(old, moved)
         self.build_seconds += other.build_seconds
 
     # ---------------- queries ----------------
     def query(self, x: float, y: float, t: int) -> np.ndarray:
         """IDs in the grid cell containing (x, y) at time t (STRQ core)."""
-        enc = self.cells.get(self.cell_key(x, y), {}).get(t)
-        return decode_ids(enc) if enc else np.zeros(0, dtype=np.int64)
+        at = self._at.get(t)
+        cell = self.cell_key(x, y)
+        if at is None or cell is None:
+            return np.zeros(0, dtype=np.int64)
+        ri, cx, cy = cell
+        key = self._base[ri] + cx * self._slots[ri, 1] + cy
+        i = int(np.searchsorted(at.keys, key))
+        return _read(at, i, i + int(i < len(at.keys) and at.keys[i] == key))
 
     def query_circle(self, x: float, y: float, t: int, radius: float) -> np.ndarray:
         """IDs in every cell overlapping the circle (local search, §5.2)."""
+        at = self._at.get(t)
         out: list[np.ndarray] = []
-        for ri, r in enumerate(self.rects):
+        for ri, r in enumerate(self.rects if at is not None else ()):
             if (
                 x + radius <= r.x0
                 or x - radius >= r.x1
@@ -137,24 +256,54 @@ class PI:
             cx1 = int((min(x + radius, r.x1 - 1e-15) - r.x0) // self.gc)
             cy0 = int((max(y - radius, r.y0) - r.y0) // self.gc)
             cy1 = int((min(y + radius, r.y1 - 1e-15) - r.y0) // self.gc)
-            for cx in range(cx0, cx1 + 1):
-                for cy in range(cy0, cy1 + 1):
-                    enc = self.cells.get((ri, cx, cy), {}).get(t)
-                    if enc:
-                        out.append(decode_ids(enc))
+            # each column cx of the rectangle is one run of keys
+            col = self._base[ri] + np.arange(cx0, cx1 + 1) * self._slots[ri, 1]
+            los = np.searchsorted(at.keys, col + cy0).tolist()
+            his = np.searchsorted(at.keys, col + cy1, side="right").tolist()
+            out.extend(_read(at, lo, hi) for lo, hi in zip(los, his) if hi > lo)
         return (
             np.unique(np.concatenate(out)) if out else np.zeros(0, dtype=np.int64)
         )
 
+    # ---------------- views ----------------
+    @property
+    def cells(self) -> dict[CellKey, dict[int, EncodedIds]]:
+        """``{(ri, cx, cy): {t: EncodedIds}}`` of every stored list, a new
+        mapping built from the columns on each read; the index never reads
+        it back."""
+        out: dict[CellKey, dict[int, EncodedIds]] = {}
+        for t, at in self._at.items():
+            firsts = at.ids[at.offs[:-1]].tolist()
+            for cell, key, first in zip(self._unpack(at.keys), at.keys.tolist(), firsts):
+                enc = at.encs.get(key)
+                out.setdefault(cell, {})[t] = enc if enc is not None else encode_ids([first])
+        return out
+
+    def cell_counts(self, t: int | None = None) -> tuple[list[CellKey], np.ndarray]:
+        """Occupied cells in ``(ri, cx, cy)`` order and their ID counts, at
+        ``t`` or, when ``t`` is None, summed over every timestamp."""
+        if t is None:
+            ats = list(self._at.values())
+        else:
+            ats = [self._at[t]] if t in self._at else []
+        if not ats:
+            return [], np.zeros(0, dtype=np.int64)
+        keys = np.concatenate([a.keys for a in ats])
+        counts = np.concatenate([np.diff(a.offs) for a in ats])
+        order = np.argsort(keys, kind="stable")
+        keys, counts = keys[order], counts[order]
+        starts = _run_starts(keys)
+        return self._unpack(keys[starts]), np.add.reduceat(counts, starts)
+
     # ---------------- accounting ----------------
     def counts_per_rect(self, t: int) -> np.ndarray:
         """N_{R_i, t}: indexed trajectories per rectangle at time t."""
-        out = np.zeros(len(self.rects), dtype=np.int64)
-        for (ri, _, _), per_t in self.cells.items():
-            enc = per_t.get(t)
-            if enc:
-                out[ri] += enc.n_ids
-        return out
+        at = self._at.get(t)
+        if at is None:
+            return np.zeros(len(self.rects), dtype=np.int64)
+        # keys sort by rectangle: rectangle i's cells start at its base
+        firsts = np.append(np.searchsorted(at.keys, self._base), len(at.keys))
+        return np.diff(at.offs[firsts])
 
     def rect_sizes(self) -> np.ndarray:
         """|R_i| in grid cells (Definition 5.1's rectangle size), read-only."""
@@ -163,11 +312,45 @@ class PI:
     def size_bits(self) -> int:
         """Index size: rect metadata + cell keys + compressed ID lists."""
         bits = len(self.rects) * 4 * 64
-        for per_t in self.cells.values():
-            bits += 3 * 32  # cell key
-            for enc in per_t.values():
-                bits += 32 + enc.total_bits  # timestamp + payload
+        if not self._at:
+            return bits
+        keys = np.concatenate([at.keys for at in self._at.values()])
+        bits += 3 * 32 * len(np.unique(keys))  # cell key
+        for at in self._at.values():
+            n_one = len(at.keys) - len(at.encs)
+            bits += 32 * len(at.keys)  # timestamp per list
+            bits += _ONE_ID_BITS * n_one + sum(e.total_bits for e in at.encs.values())
         return bits
+
+
+def _key_ranges(
+    bounds: np.ndarray, gc: float, base: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per rectangle, its ``(sx, sy)`` cell-index counts and the first of
+    its ``sx * sy`` packed keys, numbered on from ``base``; and the key
+    after the last. Raises ``ValueError`` for a grid the keys cannot
+    number exactly."""
+    spans = ((bounds[:, 2:] - bounds[:, :2]) // gc).tolist()
+    slots = [(int(w) + 1, int(h) + 1) for w, h in spans]
+    bases = []
+    for sx, sy in slots:
+        if max(sx, sy) > _AXIS_LIMIT:
+            raise ValueError(
+                f"a rectangle spans {max(sx, sy)} cells of g_c={gc} on one "
+                f"axis, more than {_AXIS_LIMIT}"
+            )
+        bases.append(base)
+        base += sx * sy
+    if base > _KEY_LIMIT:
+        raise ValueError(
+            f"the rectangles hold {base} cells of g_c={gc}, more than the "
+            f"{_KEY_LIMIT} a 64-bit cell key can number"
+        )
+    return (
+        np.array(slots, dtype=np.int64).reshape(-1, 2),
+        np.array(bases, dtype=np.int64),
+        base,
+    )
 
 
 def _grid_sizes(bounds: np.ndarray, gc: float) -> np.ndarray:

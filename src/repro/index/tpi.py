@@ -11,6 +11,7 @@ grafted onto the current one ("Insertion").
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +74,9 @@ class TPI:
 
         Raises ``ValueError``, leaving the index as it was, for an empty
         timestep, ``ids``/``xs``/``ys`` of different lengths, an id that is
-        not a whole number, a non-finite coordinate or an id given twice."""
+        not a whole number, a non-finite coordinate, an id given twice or a
+        ``t`` before the current period's start (periods stay disjoint and
+        in time order, which ``period_for`` relies on)."""
         start = time.perf_counter()
         ids = np.asarray(ids)
         if ids.dtype.kind not in "iu":
@@ -90,6 +93,10 @@ class TPI:
         ys = np.asarray(ys, dtype=np.float64)
         if len(ids) == 0:
             raise ValueError(f"empty timestep: TPI.push needs points at t={t}")
+        if self.current is not None and t < self.current.ts:
+            raise ValueError(
+                f"t={t} precedes the current period's start {self.current.ts}"
+            )
         if not len(ids) == len(xs) == len(ys):
             raise ValueError(
                 f"ids, xs and ys differ in length at t={t}: "
@@ -118,7 +125,7 @@ class TPI:
                 self.n_rebuilds += 1
                 self._open_period(t, ids, xs, ys)
                 return "re-build"
-            pi.add_points(t, ids[covered], xs[covered], ys[covered])
+            pi.add_points(t, ids[covered], xs[covered], ys[covered], ri=ri[covered])
             if (~covered).any():
                 extra = build_pi(
                     t,
@@ -148,11 +155,15 @@ class TPI:
 
     # ---------------- queries ----------------
     def period_for(self, t: int) -> Period | None:
-        """The period whose [ts, te] contains t (te=None means open)."""
-        for p in self.periods:
-            if p.ts <= t and (p.te is None or t <= p.te):
-                return p
-        return None
+        """The period whose [ts, te] contains t (te=None means open).
+
+        Periods are disjoint and in ascending ``ts`` order, so the only
+        candidate is the last one starting at or before t."""
+        i = bisect_right(self.periods, t, key=lambda p: p.ts) - 1
+        if i < 0:
+            return None
+        p = self.periods[i]
+        return p if p.te is None or t <= p.te else None
 
     def query(self, x: float, y: float, t: int) -> np.ndarray:
         p = self.period_for(t)

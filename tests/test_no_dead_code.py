@@ -27,6 +27,9 @@ ALLOWED = {
     "contains_many": "Rect.contains_many, the containment oracle of the PI tests",
     # the DuckDB oracle test_synth_oracle checks Spark results against
     "assert_equivalent": "oracle.assert_equivalent, the DuckDB correctness oracle",
+    # the index stores ID lists as columns; the golden index digests and
+    # the PI tests read them back as one EncodedIds per (cell, t) list
+    "cells": "PI.cells, the per-list view the index digests and PI tests read",
     # kept on purpose when unused code was last pruned: the radius query
     # over a TPI period, beside PI.query_circle which it wraps
     "query_circle": "TPI.query_circle, the radius query over a TPI period",

@@ -69,8 +69,9 @@ def test_traced_ppqs_build_counts_one_step_per_timestep(tracing, geolife_pts):
 
 
 def test_traced_tpi_replay_reaches_the_index_layers(tracing, porto_pts):
-    """Every push indexes its points through ``PI.add_points`` and
-    ``encode_ids``; every push that builds a PI (initial, re-build,
+    """Every push indexes its points through ``PI.add_points``, which runs
+    ``encode_ids`` once per list of two or more IDs (a one-ID list is
+    stored as its ID); every push that builds a PI (initial, re-build,
     insertion) goes through ``build_pi`` and ``grow_partition`` once."""
     patches = tracing.layer_patches(False)
     tracer = tracing.Tracer()
@@ -88,11 +89,13 @@ def test_traced_tpi_replay_reaches_the_index_layers(tracing, porto_pts):
             actions.append(action)
             assert calls.get("index.tpi.push") == 1
             assert calls.get("index.pi.add_points", 0) >= 1
-            assert calls.get("index.idcodec.encode_ids", 0) >= 1
+            _, counts = tpi.current.pi.cell_counts(t)
+            assert calls.get("index.idcodec.encode_ids", 0) == (counts >= 2).sum()
             builds = 0 if action == "append" else 1
             assert calls.get("index.pi.build_pi", 0) == builds
             assert calls.get("index.pi.grow_partition", 0) == builds
     assert set(actions) == {"initial", "re-build", "insertion", "append"}
+    assert tracer.calls["index.idcodec.encode_ids"] > 0
 
 
 def test_traced_serve_replay_records_one_read_span_per_timestep(tracing):

@@ -262,6 +262,148 @@ class TestMatchesLoop:
         assert pi.rect_of(np.array([50.0]), np.array([50.0]))[0] == n_before
 
 
+def _loop_cells(pi, batches):
+    """The earlier store: ``{key: {t: encode_ids(list)}}`` filled one
+    ``add_points`` batch at a time, a later list replacing an earlier one."""
+    cells = {}
+    for t, ids, xs, ys in batches:
+        for key, lst in _loop_buckets(pi, ids, xs, ys).items():
+            cells.setdefault(key, {})[t] = encode_ids(lst)
+    return cells
+
+
+def _old_size_bits(pi):
+    """The earlier per-entry sum of ``PI.size_bits``."""
+    bits = len(pi.rects) * 4 * 64
+    for per_t in pi.cells.values():
+        bits += 3 * 32 + sum(32 + enc.total_bits for enc in per_t.values())
+    return bits
+
+
+class TestColumnStore:
+    """The per-timestamp columns hold what the earlier dict of
+    ``{t: EncodedIds}`` per cell held; ``cells`` rebuilds that mapping."""
+
+    @staticmethod
+    def _batches(pi):
+        g = np.random.default_rng(3)
+        ids, xs, ys = _frame(seed=13, n=300, spread=0.6)
+        exs, eys = _edge_points(pi, g, 200)
+        dup = np.repeat(np.arange(40), 3)
+        return [
+            (2, g.permutation(ids), xs, ys),
+            (3, g.integers(0, 50, 200), exs, eys),
+            (4, ids[dup] % 7, xs[dup], ys[dup]),
+        ]
+
+    def _check(self, pi, want):
+        got = pi.cells
+        assert got == want
+        assert _old_size_bits(pi) == pi.size_bits()
+        for t in {t for per_t in want.values() for t in per_t}:
+            at_t = {k: per_t[t] for k, per_t in want.items() if t in per_t}
+            cells, counts = pi.cell_counts(t)
+            assert cells == sorted(at_t)
+            assert counts.tolist() == [at_t[k].n_ids for k in cells]
+            per_rect = np.zeros(len(pi.rects), dtype=np.int64)
+            for (ri, _, _), enc in at_t.items():
+                per_rect[ri] += enc.n_ids
+            assert pi.counts_per_rect(t).tolist() == per_rect.tolist()
+            for key, enc in at_t.items():
+                ri, cx, cy = key
+                r = pi.rects[ri]
+                # a point inside the cell, away from its edges
+                x = max(r.x0, r.x0 + (cx + 0.5) * pi.gc - 1e-9)
+                y = max(r.y0, r.y0 + (cy + 0.5) * pi.gc - 1e-9)
+                if pi.cell_key(x, y) == key:
+                    assert pi.query(x, y, t).tolist() == decode_ids(enc).tolist()
+
+    def test_view_matches_loop(self, pi):
+        ids, xs, ys = _frame()
+        batches = [(1, ids, xs, ys)] + self._batches(pi)
+        for t, b_ids, b_xs, b_ys in batches[1:]:
+            pi.add_points(t, b_ids, b_xs, b_ys)
+        want = _loop_cells(pi, batches)
+        assert any(e.n_ids > 1 for per_t in want.values() for e in per_t.values())
+        self._check(pi, want)
+
+    def test_view_is_rebuilt_on_each_read(self, pi):
+        view = pi.cells
+        view.clear()
+        assert pi.cells and pi.cells is not pi.cells
+
+    def test_add_points_twice_at_one_t_replaces_lists(self, pi):
+        ids, xs, ys = _frame()
+        g = np.random.default_rng(8)
+        later = _frame(seed=5, n=150, spread=0.5)
+        batches = [
+            (1, ids, xs, ys),
+            (1, later[0] + 500, later[1], later[2]),
+            (1, g.integers(900, 905, 60), xs[:60], ys[:60]),  # same cells again
+        ]
+        for t, b_ids, b_xs, b_ys in batches[1:]:
+            pi.add_points(t, b_ids, b_xs, b_ys)
+        want = _loop_cells(pi, batches)
+        first = _loop_buckets(pi, ids, xs, ys)
+        assert any(want[k][1].n_ids != len(v) for k, v in first.items())  # replaced
+        assert any(want[k][1] == encode_ids(v) for k, v in first.items())  # kept
+        self._check(pi, want)
+
+    def test_extend_into_a_timestamp_with_entries(self, pi):
+        ids, xs, ys = _frame()
+        pi.add_points(2, ids[:50], xs[:50], ys[:50])
+        g = np.random.default_rng(2)
+        oxs, oys = g.uniform(50.0, 52.0, 80), g.uniform(50.0, 51.0, 80)
+        oids = np.r_[np.arange(1000, 1040), np.arange(1000, 1040)]  # repeats
+        other = build_pi(1, oids, oxs, oys, eps_s=1.0, gc=0.25, seed=1)
+        other.add_points(2, oids[:30] + 1, oxs[:30], oys[:30])
+        off = len(pi.rects)
+        before = pi.cells
+        shifted = {(ri + off, cx, cy): per_t for (ri, cx, cy), per_t in other.cells.items()}
+        assert any(e.n_ids > 1 for per_t in shifted.values() for e in per_t.values())
+        pi.extend(other)
+        self._check(pi, {**before, **shifted})
+        assert 1000 in pi.query(oxs[0], oys[0], 1)
+
+    def test_extend_needs_the_same_cell_size(self, pi):
+        other = PI(gc=0.5, rects=[Rect(50.0, 50.0, 51.0, 51.0)])
+        with pytest.raises(ValueError, match="gc=0.5"):
+            pi.extend(other)
+
+    def test_keys_at_the_largest_grid(self):
+        """Rectangles of 2^51 cells on one axis (the most ``//`` floors
+        exactly) whose keys end at the int64 limit: their corner cells
+        keep their own keys, in (ri, cx, cy) order."""
+        big = 2.0**51
+        small = Rect(-4.0, 0.0, -0.5, 2.5)  # 4 x 3 cells: keys 0..11
+        sy = (2**63 - 1 - 12) // 2**51  # rows of 2^51 cells that fit after it
+        pi = PI(gc=1.0, rects=[small, Rect(0.0, 0.0, big - 0.5, sy - 0.5)])
+        # one more cell would pass the int64 range, one more row too
+        room = 2**63 - 1 - 12 - sy * 2**51
+        y = float(sy)
+        with pytest.raises(ValueError, match="64-bit cell key"):
+            pi.extend(PI(gc=1.0, rects=[Rect(0.0, y, room + 0.5, y + 0.5)]))
+        with pytest.raises(ValueError, match="64-bit cell key"):
+            PI(gc=1.0, rects=[small, Rect(0.0, 0.0, big - 0.5, sy + 0.5)])
+        with pytest.raises(ValueError, match="one axis"):
+            PI(gc=1.0, rects=[Rect(0.0, 0.0, big + 0.5, 1.0)])
+        assert len(pi.rects) == 2
+        pi.extend(PI(gc=1.0, rects=[Rect(0.0, y, room - 0.5, y + 0.5)]))
+        xs = np.array([-4.0, -0.6, 0.0, 0.0, big - 1.0, big - 1.0, 0.0, room - 1.0])
+        ys = np.array([0.0, 2.4, 0.0, y - 1.0, 0.0, y - 1.0, 1.0, y])
+        ids = np.arange(len(xs))
+        assert not pi.add_points(1, ids, xs, ys).any()
+        want = {pi.cell_key(x, y): {1: encode_ids([i])} for i, x, y in zip(ids, xs, ys)}
+        assert len(want) == len(xs)
+        assert max(k[1] for k in want) == 2**51 - 1
+        assert pi._at[1].keys[-1] == 2**63 - 2  # the last key there is
+        assert pi.cells == want
+        assert pi.cell_counts(1)[0] == sorted(want)
+        for i, x, y in zip(ids, xs, ys):
+            assert pi.query(x, y, 1).tolist() == [i]
+        assert pi.counts_per_rect(1).tolist() == [2, 5, 1]
+
+
 class TestCoverageCheck:
     def test_uncovered_own_point_raises(self, monkeypatch):
         """The check is an exception, so it also holds under ``python -O``."""

@@ -1,9 +1,15 @@
 """Tests for the temporal partition-based index TPI (paper Algorithm 4)."""
+import dataclasses
+import gc
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.index.tpi import TPI, adr, build_tpi_from_points
+from repro.harness.config import BENCH, QUICK
+from repro.index.pi import PI
+from repro.index.rectangles import Rect
+from repro.index.tpi import TPI, Period, adr, build_tpi_from_points
 
 
 class TestADR:
@@ -268,6 +274,16 @@ class TestPushValidation:
         assert tpi.push(4, ids.astype(np.float64), xs, ys) == "append"
         assert tpi.query(xs[0], ys[0], 4).tolist() == tpi.query(xs[0], ys[0], 3).tolist()
 
+    def test_time_before_the_current_period(self):
+        """Before the check a re-build at an earlier t put a period out of
+        time order, where ``period_for``'s bisection cannot find it."""
+        pts, tpi = self._index()
+        before = self._state(tpi)
+        with pytest.raises(ValueError, match="t=0 precedes the current period's start 1"):
+            tpi.push(0, *_step(pts, 3))
+        assert self._state(tpi) == before
+        assert tpi.push(1, *_step(pts, 1)) == "append"  # at the start is fine
+
     def test_length_mismatch(self):
         """Before the check numpy raised from a concatenate deep inside."""
         ids, xs, ys = _step(_drift_points(n_steps=3), 3)
@@ -279,3 +295,105 @@ class TestPushValidation:
 def _step(pts, t):
     f = pts[pts.t == t]
     return f.traj_id.to_numpy(), f.x.to_numpy(), f.y.to_numpy()
+
+
+def _linear_period_for(tpi, t):
+    """The earlier ``period_for``: scan the periods in order."""
+    for p in tpi.periods:
+        if p.ts <= t and (p.te is None or t <= p.te):
+            return p
+    return None
+
+
+class TestPeriodFor:
+    def test_matches_scan_on_pushed_periods(self):
+        pts = _drift_points(n_steps=30, jump_at=6)
+        pts.loc[pts.t >= 15, ["x", "y"]] -= 20.0
+        tpi = TPI(eps_d=0.5, eps_c=0.5, eps_s=1.0, gc=0.2)
+        for t in range(1, 31):
+            tpi.push(t, *_step(pts, t))
+            if t == 20:
+                tpi.push(t, *_step(pts, 3))  # a re-build at the same t: empty period
+        assert tpi.n_periods >= 4
+        for closed in (False, True):
+            if closed:
+                tpi.current.te = 30
+            for t in range(-2, 35):
+                assert tpi.period_for(t) is _linear_period_for(tpi, t)
+
+    def test_matches_scan_with_gaps(self):
+        pi = PI(gc=0.1)
+        tpi = TPI(periods=[
+            Period(1, 3, pi), Period(4, 4, pi), Period(5, 4, pi), Period(5, 6, pi),
+            Period(9, 11, pi), Period(15, None, pi),
+        ])
+        got = [tpi.period_for(t) for t in range(-1, 25)]
+        assert got == [_linear_period_for(tpi, t) for t in range(-1, 25)]
+        assert [p.ts if p else None for p in got[6:12]] == [5, 5, None, None, 9, 9]
+        assert TPI().period_for(3) is None
+
+
+class TestWritePath:
+    def test_append_finds_each_rectangle_once(self, monkeypatch):
+        """``push`` hands the rectangles it found to ``add_points``."""
+        pts = _drift_points(n_steps=3)
+        tpi = TPI(eps_d=0.5, eps_c=0.5, eps_s=1.0, gc=0.2)
+        tpi.push(1, *_step(pts, 1))
+        calls = []
+        real = PI.rect_of
+
+        def counted(self, xs, ys):
+            calls.append(len(xs))
+            return real(self, xs, ys)
+
+        monkeypatch.setattr(PI, "rect_of", counted)
+        assert tpi.push(2, *_step(pts, 2)) == "append"
+        assert calls == [30]
+        ids, xs, ys = _step(pts, 2)
+        assert ids[4] in tpi.query(xs[4], ys[4], 2)
+
+    @pytest.mark.parametrize("dataset", ["porto", "geolife"])
+    def test_size_bits_is_the_per_entry_sum(self, dataset):
+        tpi = build_tpi_from_points(
+            QUICK.dataset(dataset).load(), eps_d=0.8, eps_c=0.5,
+            eps_s=QUICK.eps_s, gc=QUICK.gc, seed=QUICK.seed,
+        )
+        want = tpi.n_periods * 2 * 32
+        for p in tpi.periods:
+            want += len(p.pi.rects) * 4 * 64
+            for per_t in p.pi.cells.values():
+                want += 3 * 32 + sum(32 + enc.total_bits for enc in per_t.values())
+        assert tpi.size_bits() == want
+
+
+def _tracked_reachable(root):
+    """GC-tracked objects reachable from ``root``, by type name. Types are
+    not followed (they lead to every module) and ``Rect``s are left out."""
+    seen, kinds, todo = set(), {}, [root]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (type, Rect)):
+            continue
+        seen.add(id(o))
+        if gc.is_tracked(o):
+            kinds[type(o).__name__] = kinds.get(type(o).__name__, 0) + 1
+        todo.extend(gc.get_referents(o))
+    return kinds
+
+
+def test_no_object_per_stored_list():
+    """The bench index (geolife, generator seed 16) holds a few GC-tracked
+    objects per (PI, timestamp), not one per (cell, t) list: the earlier
+    store kept an ``EncodedIds`` per list and a dict per cell, 50,458
+    objects here."""
+    tpi = build_tpi_from_points(
+        dataclasses.replace(BENCH.dataset("geolife"), seed=16).load(),
+        eps_d=0.8, eps_c=0.5, eps_s=BENCH.eps_s, gc=BENCH.gc, seed=BENCH.seed,
+    )
+    views = [p.pi.cells for p in tpi.periods]
+    pairs = sum(len({t for per_t in v.values() for t in per_t}) for v in views)
+    lists = sum(len(per_t) for v in views for per_t in v.values())
+    del views
+    tracked = sum(_tracked_reachable(tpi).values())
+    assert lists > 30 * pairs
+    assert tracked <= 3 * pairs
