@@ -16,15 +16,25 @@ speed on a handful of rows; larger clusters, and every cluster of one or
 three-plus coordinates, are measured in one numpy pass and split by
 ``_split_two``. ``SMALL`` sits below the size where the two cost the
 same per split and per measured cluster (about 64 points); the index's
-insertion PIs (about 16 points) fall below it and PPQ-A's partitioner
+insertion rectangles (about 16 points) fall below it and PPQ-A's partitioner
 re-splits (about 120) above. The Python kernels repeat numpy's arithmetic
 in numpy's order -- sums from +0.0 row by row, ``x*x`` squares, the first
 of equal minima or maxima -- so every kernel gives the bits the generic
 code gives.
+
+Each split seeds its 2-means with one index drawn as
+``np.random.default_rng(seed).integers(0, n)``. ``first_draw`` gives that
+index without a ``Generator`` per split: numpy's bounded draw is Lemire's
+multiply-shift (Lemire 2019, "Fast random integer generation in an
+interval") on the low 32 bits of PCG64's first 64-bit output, and that
+word depends on the seed alone, so it is cached per seed and the
+multiply-shift runs on Python ints. The rare draw Lemire rejects, and any
+input outside the covered range, goes to the real generator.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -33,6 +43,31 @@ import numpy as np
 #: floats. Per split and per measured cluster, Python cost 0.6x numpy's at
 #: 16 points, 0.8x at 48 and 1.0x at 64, so the rule stays below the tie.
 SMALL = 48
+
+_U32 = 1 << 32
+
+
+@lru_cache(maxsize=1 << 12)
+def _first_word(seed: int) -> int:
+    """PCG64's first 64-bit output for ``seed``, as ``default_rng(seed)``
+    makes it (a negative seed raises its ``ValueError``)."""
+    return int(np.random.PCG64(seed).random_raw())
+
+
+def first_draw(seed: int, n: int) -> int:
+    """``np.random.default_rng(seed).integers(0, n)``, as a Python int.
+
+    For an integer ``seed`` and ``1 <= n < 2**32`` numpy draws the low 32
+    bits ``w`` of the generator's first word and returns ``(w * n) >> 32``
+    unless ``(w * n) mod 2**32`` falls below ``2**32 mod n``, when it
+    rejects ``w`` and draws again. That rejected case, and every other
+    input, runs the generator itself.
+    """
+    if isinstance(seed, (int, np.integer)) and isinstance(n, int) and 0 < n < _U32:
+        m = (_first_word(seed) & (_U32 - 1)) * n
+        if m & (_U32 - 1) >= _U32 % n:
+            return m >> 32
+    return int(np.random.default_rng(seed).integers(0, n))
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -58,11 +93,11 @@ def centroid(pts: np.ndarray) -> np.ndarray:
 
 def farthest_first(pts: np.ndarray, k: int, seed: int) -> np.ndarray:
     """``k`` rows of ``pts`` (2-D, 1 <= k <= len) picked greedily farthest-first
-    (k-center maxmin): the first drawn by ``default_rng(seed)``, each next
-    one the point farthest from all picked so far."""
-    g = np.random.default_rng(seed)
+    (k-center maxmin): the first drawn by ``default_rng(seed)`` (through
+    ``first_draw``), each next one the point farthest from all picked so
+    far."""
     picked = np.empty((k, pts.shape[1]))
-    picked[0] = pts[g.integers(0, len(pts))]
+    picked[0] = pts[first_draw(seed, len(pts))]
     d2 = np.add.reduce((pts - picked[0]) ** 2, axis=1)
     for j in range(1, k):
         if j > 1:
@@ -179,14 +214,14 @@ def _split_two_small(rows: list, seed: int) -> list[bool]:
     """``_split_two``'s labels for a cluster's 2-D ``rows`` (lists of two
     Python floats), computed on Python floats.
 
-    The first seed is the same ``default_rng(seed)`` draw as
-    ``farthest_first``'s and the second the first row farthest from it, as
-    ``argmax`` picks. The Lloyd sums start from +0.0 and add rows in
-    order, as ``np.bincount`` does; a tie keeps the first centroid. The
-    median fallback runs on numpy.
+    The first seed is the same ``first_draw`` as ``farthest_first``'s and
+    the second the first row farthest from it, as ``argmax`` picks. The
+    Lloyd sums start from +0.0 and add rows in order, as ``np.bincount``
+    does; a tie keeps the first centroid. The median fallback runs on
+    numpy.
     """
     n = len(rows)
-    c0x, c0y = rows[np.random.default_rng(seed).integers(0, n)]
+    c0x, c0y = rows[first_draw(seed, n)]
     d2 = [(dx := x - c0x) * dx + (dy := y - c0y) * dy for x, y in rows]
     c1x, c1y = rows[d2.index(max(d2))]
     lab = None

@@ -1,10 +1,17 @@
 """PI: the partition-based spatial index at one timestamp (paper Alg. 3).
 
-Construction: partition T^t with the grow-until-eps_s routine (Eq. 7 with
-eps_s), take each partition's minimum bounding rectangle, remove overlaps
-so rectangles are disjoint, and grid every rectangle into cells of size
+Construction (``build_rects``, Alg. 3 lines 1-3): partition T^t with the
+grow-until-eps_s routine (Eq. 7 with eps_s), take each partition's minimum
+bounding rectangle and remove overlaps, so the rectangles of one build are
+disjoint. ``build_pi`` then grids every rectangle into cells of size
 ``g_c``. Each (rect, cell) stores, per timestamp, the delta+Huffman
 compressed list of trajectory IDs whose point falls in the cell.
+
+A point belongs to the first rectangle, in index order, that holds it.
+Rectangles added later (TPI's "Insertion", ``add_rects``) are disjoint
+among themselves but may overlap the PI's earlier ones; a point in such an
+overlap is indexed, and found, under the lower-index rectangle, and a
+later rectangle only takes the points outside every earlier one.
 
 Storage is one set of columns per timestamp (``_Columns``): the occupied
 cells' packed keys in ascending order, CSR offsets into the IDs of every
@@ -26,8 +33,8 @@ than that, or whose rectangles need more than 2^63 - 1 keys, is refused
 with ``ValueError``.
 
 The same PI object indexes later timestamps of its period (``add_points``)
--- that is how TPI reuses structure -- and can absorb extra rectangles for
-uncovered points ("Insertion", ``extend``).
+-- that is how TPI reuses structure -- and takes extra rectangles for
+uncovered points (``add_rects``), whose keys are numbered on from the last.
 """
 from __future__ import annotations
 
@@ -117,9 +124,10 @@ def _read(at: _Columns, lo: int, hi: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class PI:
-    """Disjoint rectangles + per-rectangle grid of compressed ID lists.
+    """Rectangles + per-rectangle grid of compressed ID lists; a point
+    belongs to the first rectangle holding it.
 
-    ``rects`` only grows through ``extend``, which keeps the stacked
+    ``rects`` only grows through ``add_rects``, which keeps the stacked
     rectangle bounds, sizes and key ranges the array code reads in step
     with it. Two PIs are equal only when they are the same object.
     """
@@ -127,7 +135,7 @@ class PI:
     gc: float
     rects: list[Rect] = field(default_factory=list)
     built_at: int = 0
-    build_seconds: float = 0.0
+    build_seconds: float = 0.0  # build_pi's rectangles and every add_points
     _at: dict[int, _Columns] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -138,32 +146,24 @@ class PI:
     _n_keys: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._bounds = np.array(
-            [(r.x0, r.y0, r.x1, r.y1) for r in self.rects], dtype=np.float64
-        ).reshape(-1, 4)
+        self._bounds = _stack(self.rects)
         self._sizes = _grid_sizes(self._bounds, self.gc)
         self._slots, self._base, self._n_keys = _key_ranges(self._bounds, self.gc, 0)
 
     # ---------------- geometry ----------------
     def rect_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Rect index per point, -1 when uncovered. Rects are disjoint, so
-        the first hit is the only hit."""
-        xs = np.asarray(xs, dtype=np.float64)[:, None]
-        ys = np.asarray(ys, dtype=np.float64)[:, None]
-        b = self._bounds
-        if not len(b):
-            return np.full(len(xs), -1, dtype=np.int64)
-        inside = (xs >= b[:, 0]) & (xs < b[:, 2]) & (ys >= b[:, 1]) & (ys < b[:, 3])
-        return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+        """Index of the first rectangle holding each point, -1 when none
+        does."""
+        return _first_hit(self._bounds, xs, ys)
 
     def cell_of(self, ri: int, x: float, y: float) -> CellKey:
         r = self.rects[ri]
         return (ri, int((x - r.x0) // self.gc), int((y - r.y0) // self.gc))
 
     def cell_key(self, x: float, y: float) -> CellKey | None:
-        """Key of the grid cell containing (x, y), None when no rectangle
-        covers it. A scalar scan: one query point costs less this way than
-        the array setup of ``rect_of``."""
+        """Key of the grid cell containing (x, y) in the first rectangle
+        holding it, None when no rectangle does. A scalar scan: one query
+        point costs less this way than the array setup of ``rect_of``."""
         for ri, r in enumerate(self.rects):
             if r.contains(x, y):
                 return self.cell_of(ri, x, y)
@@ -207,26 +207,18 @@ class PI:
         self.build_seconds += time.perf_counter() - start
         return ~covered
 
-    def extend(self, other: "PI") -> None:
-        """Absorb another PI's rectangles and cells (TPI "Insertion")."""
-        if other.gc != self.gc:
-            raise ValueError(f"cannot extend a PI of gc={self.gc} with gc={other.gc}")
-        shift = self._n_keys
-        slots, base, self._n_keys = _key_ranges(other._bounds, self.gc, shift)
-        self.rects.extend(other.rects)
-        self._bounds = np.concatenate([self._bounds, other._bounds])
-        self._sizes = np.concatenate([self._sizes, _grid_sizes(other._bounds, self.gc)])
+    def add_rects(self, rects: list[Rect]) -> None:
+        """Append ``rects``, numbering their cell keys on from the last key
+        (TPI "Insertion"). Raises ``ValueError``, leaving the PI as it was,
+        for a grid the keys cannot number."""
+        bounds = _stack(rects)
+        slots, base, self._n_keys = _key_ranges(bounds, self.gc, self._n_keys)
+        self.rects.extend(rects)
+        self._bounds = np.concatenate([self._bounds, bounds])
+        self._sizes = np.concatenate([self._sizes, _grid_sizes(bounds, self.gc)])
         self._sizes.flags.writeable = False
         self._slots = np.concatenate([self._slots, slots])
         self._base = np.concatenate([self._base, base])
-        for t, at in other._at.items():
-            moved = _Columns(
-                at.keys + shift, at.offs, at.ids,
-                {k + shift: e for k, e in at.encs.items()},
-            )
-            old = self._at.get(t)
-            self._at[t] = moved if old is None else _merge(old, moved)
-        self.build_seconds += other.build_seconds
 
     # ---------------- queries ----------------
     def query(self, x: float, y: float, t: int) -> np.ndarray:
@@ -353,12 +345,52 @@ def _key_ranges(
     )
 
 
+def _stack(rects: list[Rect]) -> np.ndarray:
+    """(R, 4) array of the rectangles' ``(x0, y0, x1, y1)``."""
+    return np.array(
+        [(r.x0, r.y0, r.x1, r.y1) for r in rects], dtype=np.float64
+    ).reshape(-1, 4)
+
+
+def _first_hit(b: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Index of the first row of the (R, 4) bounds ``b`` holding each
+    point, -1 when none does."""
+    xs = np.asarray(xs, dtype=np.float64)[:, None]
+    ys = np.asarray(ys, dtype=np.float64)[:, None]
+    if not len(b):
+        return np.full(len(xs), -1, dtype=np.int64)
+    inside = (xs >= b[:, 0]) & (xs < b[:, 2]) & (ys >= b[:, 1]) & (ys < b[:, 3])
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+
+
 def _grid_sizes(bounds: np.ndarray, gc: float) -> np.ndarray:
     """Read-only grid-cell count per rectangle, at least one per axis."""
     per_axis = np.ceil((bounds[:, 2:] - bounds[:, :2]) / gc).astype(np.int64)
     sizes = np.maximum(1, per_axis).prod(axis=1)
     sizes.flags.writeable = False
     return sizes
+
+
+def build_rects(
+    t: int, xs: np.ndarray, ys: np.ndarray, *, eps_s: float, seed: int = 0
+) -> tuple[list[Rect], np.ndarray]:
+    """Algorithm 3, lines 1-3: disjoint rectangles over the points at time
+    ``t`` (grow-until-eps_s partitions, their MBRs, overlap removal), and
+    the index of the rectangle holding each point. Raises ``RuntimeError``
+    when a point is left outside every rectangle."""
+    xy = np.column_stack([xs, ys]).astype(np.float64)
+    labels, _, _ = grow_partition(xy, eps_s, seed=seed)
+    rects: list[Rect] = []
+    for r in mbrs(xy, labels):
+        rects.extend(remove_overlap(r, rects))
+    ri = _first_hit(_stack(rects), xy[:, 0], xy[:, 1])
+    uncov = ri < 0
+    if uncov.any():
+        raise RuntimeError(
+            f"the rectangles left {int(uncov.sum())} of their own points at "
+            f"t={t} outside every rectangle"
+        )
+    return rects, ri
 
 
 def build_pi(
@@ -373,17 +405,8 @@ def build_pi(
 ) -> PI:
     """Algorithm 3: build the PI over the points at time ``t``."""
     start = time.perf_counter()
-    xy = np.column_stack([xs, ys]).astype(np.float64)
-    labels, _, _ = grow_partition(xy, eps_s, seed=seed)
-    region_list: list[Rect] = []
-    for r in mbrs(xy, labels):
-        region_list.extend(remove_overlap(r, region_list))
-    pi = PI(gc=gc, rects=region_list, built_at=t)
+    rects, ri = build_rects(t, xs, ys, eps_s=eps_s, seed=seed)
+    pi = PI(gc=gc, rects=rects, built_at=t)
     pi.build_seconds = time.perf_counter() - start
-    uncov = pi.add_points(t, ids, xs, ys)
-    if uncov.any():
-        raise RuntimeError(
-            f"build_pi left {int(uncov.sum())} of its own points at t={t} "
-            "outside every rectangle"
-        )
+    pi.add_points(t, ids, xs, ys, ri=ri)
     return pi

@@ -4,9 +4,10 @@ Streams timesteps into a sequence of (period, PI) pairs. For each new
 timestamp, the covered points' trajectory-region densities (TRD) are
 compared against the densities at the period start: if the average
 dropping rate (ADR) exceeds eps_d the current period closes and a fresh PI
-is built ("Re-build"); otherwise covered points are appended and, if some
-points fall outside every rectangle, a new PI over just those points is
-grafted onto the current one ("Insertion").
+is built ("Re-build"); otherwise the points are appended and, if some fall
+outside every rectangle, Alg. 3's rectangles over just those points are
+grafted onto the current PI first ("Insertion"). Every push indexes its
+timestep with one ``PI.add_points``.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.index.pi import PI, build_pi
+from repro.index.pi import PI, build_pi, build_rects
 
 
 @dataclass
@@ -125,26 +126,25 @@ class TPI:
                 self.n_rebuilds += 1
                 self._open_period(t, ids, xs, ys)
                 return "re-build"
-            pi.add_points(t, ids[covered], xs[covered], ys[covered], ri=ri[covered])
-            if (~covered).any():
-                extra = build_pi(
-                    t,
-                    ids[~covered],
-                    xs[~covered],
-                    ys[~covered],
-                    eps_s=self.eps_s,
-                    gc=self.gc,
-                    seed=self.seed + t,
+            action = "append"
+            if not covered.all():
+                uncov = ~covered
+                rects, new_ri = build_rects(
+                    t, xs[uncov], ys[uncov], eps_s=self.eps_s, seed=self.seed + t
                 )
-                pi.extend(extra)
+                n_old = len(pi.rects)
+                pi.add_rects(rects)
+                ri[uncov] = new_ri + n_old
                 # inserted rectangles join the baseline so later ADR checks
                 # see them (their baseline density is their density now)
+                counts = np.bincount(new_ri, minlength=len(rects))
                 self._base_density = np.concatenate(
-                    [self._base_density, extra.counts_per_rect(t) / extra.rect_sizes()]
+                    [self._base_density, counts / pi.rect_sizes()[n_old:]]
                 )
                 self.n_insertions += 1
-                return "insertion"
-            return "append"
+                action = "insertion"
+            pi.add_points(t, ids, xs, ys, ri=ri)
+            return action
         finally:
             self.build_seconds += time.perf_counter() - start
 

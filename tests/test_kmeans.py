@@ -1,4 +1,6 @@
 """Tests for k-means and the grow-until-bounded partitioning (Lemma 1)."""
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.kmeans import (
     _split_two,
     _split_two_small,
     centroid,
+    first_draw,
     grow_partition,
     kmeans,
     max_dist_to_centroid,
@@ -493,3 +496,61 @@ class TestMaxDist:
     def test_known_value(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
         assert max_dist_to_centroid(pts, np.array([0.0, 0.0])) == pytest.approx(5.0)
+
+
+#: Draw bounds of the ``first_draw`` oracle: the splits' cluster sizes,
+#: ``SMALL`` and one past it, and 32-bit extremes. Numpy rejects the first
+#: word for about half the seeds at 2**31 + 1, so it drives the fallback.
+_NS = (1, 2, 3, 14, 48, 49, 600, 2**31 + 1, 2**32 - 1)
+
+
+def _rng_draws(seed):
+    """``np.random.default_rng(seed).integers(0, n)`` for each n of ``_NS``:
+    one fresh generator, its state restored before each draw."""
+    g = np.random.default_rng(seed)
+    fresh = g.bit_generator.state
+    out = []
+    for n in _NS:
+        g.bit_generator.state = fresh
+        out.append(int(g.integers(0, n)))
+    return out
+
+
+class TestFirstDraw:
+    def test_matches_the_generator_for_seeds_up_to_50k(self):
+        bad = [s for s in range(50_001) if [first_draw(s, n) for n in _NS] != _rng_draws(s)]
+        assert bad == []
+
+    def test_matches_the_generator_for_32_bit_seeds(self):
+        """The partitioner's and quantizers' seeds reach millions."""
+        g = np.random.default_rng(5)
+        seeds = [2_600_000, 2**31, 2**32 - 1, *g.integers(50_001, 2**32, 3000).tolist()]
+        bad = [s for s in seeds if [first_draw(s, n) for n in _NS] != _rng_draws(s)]
+        assert bad == []
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint32, np.uint64])
+    def test_numpy_integer_seeds(self, kind):
+        for s in (0, 1, 47, 296, 65_535, 2_147_483_647):
+            assert [first_draw(kind(s), n) for n in _NS] == _rng_draws(s)
+
+    def test_rejected_words_are_drawn_again(self):
+        n = 2**31 + 1
+        rejected = [
+            s for s in range(400)
+            if kmeans_mod._first_word(s) % 2**32 * n % 2**32 < 2**32 % n
+        ]
+        assert 100 < len(rejected) < 300
+        for s in rejected:
+            assert first_draw(s, n) == np.random.default_rng(s).integers(0, n)
+
+    def test_bounds_outside_32_bits_use_the_generator(self):
+        for n in (2**32, 2**32 + 1, 2**40):
+            for s in range(50):
+                assert first_draw(s, n) == np.random.default_rng(s).integers(0, n)
+
+    def test_invalid_input_raises_as_the_generator_does(self):
+        for seed, n in ((-1, 5), (3, 0), (3.0, 5)):
+            with pytest.raises((ValueError, TypeError)) as want:
+                np.random.default_rng(seed).integers(0, n)
+            with pytest.raises(want.type, match=re.escape(str(want.value))):
+                first_draw(seed, n)

@@ -71,8 +71,9 @@ def test_traced_ppqs_build_counts_one_step_per_timestep(tracing, geolife_pts):
 def test_traced_tpi_replay_reaches_the_index_layers(tracing, porto_pts):
     """Every push indexes its points through ``PI.add_points``, which runs
     ``encode_ids`` once per list of two or more IDs (a one-ID list is
-    stored as its ID); every push that builds a PI (initial, re-build,
-    insertion) goes through ``build_pi`` and ``grow_partition`` once."""
+    stored as its ID); a push that builds a PI (initial, re-build) goes
+    through ``build_pi`` and ``grow_partition`` once, and an insertion
+    grows its rectangles with one ``grow_partition`` and no ``build_pi``."""
     patches = tracing.layer_patches(False)
     tracer = tracing.Tracer()
     steps = [(int(t), f) for t, f in porto_pts.groupby("t", sort=True)][:12]
@@ -91,9 +92,10 @@ def test_traced_tpi_replay_reaches_the_index_layers(tracing, porto_pts):
             assert calls.get("index.pi.add_points", 0) >= 1
             _, counts = tpi.current.pi.cell_counts(t)
             assert calls.get("index.idcodec.encode_ids", 0) == (counts >= 2).sum()
-            builds = 0 if action == "append" else 1
+            builds = int(action in ("initial", "re-build"))
             assert calls.get("index.pi.build_pi", 0) == builds
-            assert calls.get("index.pi.grow_partition", 0) == builds
+            grows = int(action != "append")
+            assert calls.get("index.pi.grow_partition", 0) == grows
     assert set(actions) == {"initial", "re-build", "insertion", "append"}
     assert tracer.calls["index.idcodec.encode_ids"] > 0
 

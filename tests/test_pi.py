@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from repro.index.idcodec import decode_ids, encode_ids
-from repro.index.pi import PI, build_pi
+from repro.index import pi as pi_module
+from repro.index.pi import PI, build_pi, build_rects
 from repro.index.rectangles import Rect
 
 
@@ -92,14 +93,14 @@ class TestMaintenance:
         uncov = pi.add_points(3, np.array([999]), np.array([50.0]), np.array([50.0]))
         assert uncov.all()
 
-    def test_extend_absorbs_other(self, pi):
-        other = build_pi(
-            4, np.array([1000, 1001]), np.array([50.0, 50.1]),
-            np.array([50.0, 50.1]), eps_s=1.0, gc=0.25, seed=1,
-        )
+    def test_add_rects_takes_new_rectangles(self, pi):
+        xs, ys = np.array([50.0, 50.1]), np.array([50.0, 50.1])
+        rects, ri = build_rects(4, xs, ys, eps_s=1.0, seed=1)
         n_before = len(pi.rects)
-        pi.extend(other)
-        assert len(pi.rects) == n_before + len(other.rects)
+        pi.add_rects(rects)
+        assert pi.rects[n_before:] == rects
+        assert (pi.rect_of(xs, ys) == ri + n_before).all()
+        assert not pi.add_points(4, np.array([1000, 1001]), xs, ys).any()
         assert 1000 in pi.query(50.0, 50.0, 4)
 
 
@@ -247,12 +248,11 @@ class TestMatchesLoop:
             assert i in decode_ids(pi.cells[key][2])
 
     def test_rect_sizes_match_rects(self, pi):
-        other = build_pi(
-            4, np.array([7, 8]), np.array([50.0, 50.3]), np.array([50.0, 50.7]),
-            eps_s=1.0, gc=0.25, seed=1,
+        rects, _ = build_rects(
+            4, np.array([50.0, 50.3]), np.array([50.0, 50.7]), eps_s=1.0, seed=1
         )
         n_before = len(pi.rects)
-        pi.extend(other)
+        pi.add_rects(rects)
         gc = pi.gc
         want = [
             max(1, int(np.ceil(r.width / gc))) * max(1, int(np.ceil(r.height / gc)))
@@ -349,26 +349,29 @@ class TestColumnStore:
         assert any(want[k][1] == encode_ids(v) for k, v in first.items())  # kept
         self._check(pi, want)
 
-    def test_extend_into_a_timestamp_with_entries(self, pi):
+    def test_add_rects_into_a_timestamp_with_entries(self, pi):
+        """Lists indexed under added rectangles at timestamps that already
+        hold entries are the lists a separate PI over those rectangles
+        holds, at keys numbered on from the earlier rectangles'."""
         ids, xs, ys = _frame()
         pi.add_points(2, ids[:50], xs[:50], ys[:50])
         g = np.random.default_rng(2)
         oxs, oys = g.uniform(50.0, 52.0, 80), g.uniform(50.0, 51.0, 80)
         oids = np.r_[np.arange(1000, 1040), np.arange(1000, 1040)]  # repeats
-        other = build_pi(1, oids, oxs, oys, eps_s=1.0, gc=0.25, seed=1)
-        other.add_points(2, oids[:30] + 1, oxs[:30], oys[:30])
+        rects, _ = build_rects(1, oxs, oys, eps_s=1.0, seed=1)
+        other = PI(gc=0.25, rects=list(rects))
+        batches = [(1, oids, oxs, oys), (2, oids[:30] + 1, oxs[:30], oys[:30])]
+        for t, b_ids, b_xs, b_ys in batches:
+            other.add_points(t, b_ids, b_xs, b_ys)
         off = len(pi.rects)
         before = pi.cells
         shifted = {(ri + off, cx, cy): per_t for (ri, cx, cy), per_t in other.cells.items()}
         assert any(e.n_ids > 1 for per_t in shifted.values() for e in per_t.values())
-        pi.extend(other)
+        pi.add_rects(rects)
+        for t, b_ids, b_xs, b_ys in batches:
+            assert not pi.add_points(t, b_ids, b_xs, b_ys).any()
         self._check(pi, {**before, **shifted})
         assert 1000 in pi.query(oxs[0], oys[0], 1)
-
-    def test_extend_needs_the_same_cell_size(self, pi):
-        other = PI(gc=0.5, rects=[Rect(50.0, 50.0, 51.0, 51.0)])
-        with pytest.raises(ValueError, match="gc=0.5"):
-            pi.extend(other)
 
     def test_keys_at_the_largest_grid(self):
         """Rectangles of 2^51 cells on one axis (the most ``//`` floors
@@ -381,14 +384,18 @@ class TestColumnStore:
         # one more cell would pass the int64 range, one more row too
         room = 2**63 - 1 - 12 - sy * 2**51
         y = float(sy)
+        state = (list(pi.rects), pi._bounds.tobytes(), pi._sizes.tobytes(),
+                 pi._slots.tobytes(), pi._base.tobytes(), pi._n_keys)
         with pytest.raises(ValueError, match="64-bit cell key"):
-            pi.extend(PI(gc=1.0, rects=[Rect(0.0, y, room + 0.5, y + 0.5)]))
+            pi.add_rects([Rect(0.0, y, room + 0.5, y + 0.5)])
+        assert (list(pi.rects), pi._bounds.tobytes(), pi._sizes.tobytes(),
+                pi._slots.tobytes(), pi._base.tobytes(), pi._n_keys) == state
         with pytest.raises(ValueError, match="64-bit cell key"):
             PI(gc=1.0, rects=[small, Rect(0.0, 0.0, big - 0.5, sy + 0.5)])
         with pytest.raises(ValueError, match="one axis"):
             PI(gc=1.0, rects=[Rect(0.0, 0.0, big + 0.5, 1.0)])
         assert len(pi.rects) == 2
-        pi.extend(PI(gc=1.0, rects=[Rect(0.0, y, room - 0.5, y + 0.5)]))
+        pi.add_rects([Rect(0.0, y, room - 0.5, y + 0.5)])
         xs = np.array([-4.0, -0.6, 0.0, 0.0, big - 1.0, big - 1.0, 0.0, room - 1.0])
         ys = np.array([0.0, 2.4, 0.0, y - 1.0, 0.0, y - 1.0, 1.0, y])
         ids = np.arange(len(xs))
@@ -404,17 +411,34 @@ class TestColumnStore:
         assert pi.counts_per_rect(1).tolist() == [2, 5, 1]
 
 
+class TestFirstHit:
+    def test_point_in_an_overlap_belongs_to_the_lower_rectangle(self):
+        """An added rectangle may overlap an earlier one; a point in both is
+        indexed, counted and found under the lower-index rectangle."""
+        pi = PI(gc=0.5, rects=[Rect(0.0, 0.0, 2.0, 2.0)])
+        pi.add_rects([Rect(1.0, 1.0, 3.0, 3.0)])
+        assert pi.rects[0].intersects(pi.rects[1])
+        xs, ys = np.array([1.5, 2.5]), np.array([1.5, 2.5])
+        assert pi.rect_of(xs, ys).tolist() == [0, 1]
+        assert pi.cell_key(1.5, 1.5) == (0, 3, 3)
+        assert not pi.add_points(1, np.array([7, 8]), xs, ys).any()
+        assert pi.cell_counts(1)[0] == [(0, 3, 3), (1, 3, 3)]
+        assert pi.counts_per_rect(1).tolist() == [1, 1]
+        assert pi.query(1.5, 1.5, 1).tolist() == [7]
+        assert pi.query(2.5, 2.5, 1).tolist() == [8]
+
+
 class TestCoverageCheck:
     def test_uncovered_own_point_raises(self, monkeypatch):
         """The check is an exception, so it also holds under ``python -O``."""
-        real = PI.rect_of
+        real = pi_module._first_hit
 
-        def drop_first(self, xs, ys):
-            out = real(self, xs, ys)
+        def drop_first(bounds, xs, ys):
+            out = real(bounds, xs, ys)
             out[:1] = -1
             return out
 
-        monkeypatch.setattr(PI, "rect_of", drop_first)
+        monkeypatch.setattr(pi_module, "_first_hit", drop_first)
         ids, xs, ys = _frame()
         with pytest.raises(RuntimeError, match="t=1"):
             build_pi(1, ids, xs, ys, eps_s=1.0, gc=0.25, seed=0)

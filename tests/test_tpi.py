@@ -7,9 +7,11 @@ import pandas as pd
 import pytest
 
 from repro.harness.config import BENCH, QUICK
-from repro.index.pi import PI
+from repro.index import pi as pi_module
+from repro.index.pi import PI, _Columns, _grid_sizes, _key_ranges, _merge, build_pi
 from repro.index.rectangles import Rect
 from repro.index.tpi import TPI, Period, adr, build_tpi_from_points
+from tests.test_golden_index import tpi_digest
 
 
 class TestADR:
@@ -397,3 +399,168 @@ def test_no_object_per_stored_list():
     tracked = sum(_tracked_reachable(tpi).values())
     assert lists > 30 * pairs
     assert tracked <= 3 * pairs
+
+
+def _extend(pi, other):
+    """The earlier ``PI.extend``: absorb another PI's rectangles and cells,
+    its keys shifted past the host's."""
+    shift = pi._n_keys
+    slots, base, pi._n_keys = _key_ranges(other._bounds, pi.gc, shift)
+    pi.rects.extend(other.rects)
+    pi._bounds = np.concatenate([pi._bounds, other._bounds])
+    pi._sizes = np.concatenate([pi._sizes, _grid_sizes(other._bounds, pi.gc)])
+    pi._slots = np.concatenate([pi._slots, slots])
+    pi._base = np.concatenate([pi._base, base])
+    for t, at in other._at.items():
+        moved = _Columns(
+            at.keys + shift, at.offs, at.ids, {k + shift: e for k, e in at.encs.items()}
+        )
+        old = pi._at.get(t)
+        pi._at[t] = moved if old is None else _merge(old, moved)
+
+
+class _ExtendTPI(TPI):
+    """``TPI.push`` as it was before Insertion grafted rectangles onto the
+    current PI: the covered points are indexed first, then a throwaway PI
+    is built over the uncovered ones and absorbed with ``_extend``."""
+
+    def push(self, t, ids, xs, ys):
+        ids = np.asarray(ids).astype(np.int64)
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        if self.current is None:
+            self._open_period(t, ids, xs, ys)
+            return "initial"
+        pi = self.current.pi
+        ri = pi.rect_of(xs, ys)
+        covered = ri >= 0
+        counts = np.bincount(ri[covered], minlength=len(pi.rects))
+        if adr(counts / pi.rect_sizes(), self._base_density, self.eps_c) > self.eps_d:
+            self.current.te = t - 1
+            self.n_rebuilds += 1
+            self._open_period(t, ids, xs, ys)
+            return "re-build"
+        pi.add_points(t, ids[covered], xs[covered], ys[covered], ri=ri[covered])
+        if covered.all():
+            return "append"
+        extra = build_pi(
+            t, ids[~covered], xs[~covered], ys[~covered],
+            eps_s=self.eps_s, gc=self.gc, seed=self.seed + t,
+        )
+        _extend(pi, extra)
+        self._base_density = np.concatenate(
+            [self._base_density, extra.counts_per_rect(t) / extra.rect_sizes()]
+        )
+        self.n_insertions += 1
+        return "insertion"
+
+
+def _replay(tpi, points):
+    """Push every timestep of ``points`` in order; the actions taken."""
+    return [
+        tpi.push(int(t), f.traj_id.to_numpy(), f.x.to_numpy(), f.y.to_numpy())
+        for t, f in points.groupby("t", sort=True)
+    ]
+
+
+def _index_state(tpi):
+    return (
+        tpi_digest(tpi, lengths=True), tpi.size_bits(), tpi.n_rebuilds,
+        tpi.n_insertions, tpi._base_density.tobytes(),
+        [p.pi._bounds.tobytes() for p in tpi.periods],
+        [p.pi.rect_sizes().tobytes() for p in tpi.periods],
+    )
+
+
+def _random_stream(seed, n_traj=60, n_steps=25):
+    """Random walks whose steps now and then jump a few trajectories away,
+    so both insertions and re-builds happen."""
+    g = np.random.default_rng(seed)
+    pos = g.random((n_traj, 2))
+    rows = []
+    for t in range(1, n_steps + 1):
+        pos = pos + g.normal(0.0, 0.03, pos.shape)
+        jump = g.random(n_traj) < 0.1
+        pos[jump] += g.uniform(-2.0, 2.0, (int(jump.sum()), 2))
+        live = np.flatnonzero(g.random(n_traj) < 0.9)
+        rows.append(pd.DataFrame(
+            {"traj_id": live, "t": t, "x": pos[live, 0], "y": pos[live, 1]}
+        ))
+    return pd.concat(rows, ignore_index=True)
+
+
+class TestInsertionMatchesExtend:
+    """Grafting the insertion's rectangles onto the current PI and indexing
+    the timestep once gives the index the throwaway-PI path gave: the same
+    digest (Huffman tables included), size, counts, baseline densities and
+    rectangle bounds."""
+
+    @staticmethod
+    def _both(points, **kw):
+        new, ref = TPI(**kw), _ExtendTPI(**kw)
+        actions = _replay(new, points)
+        assert actions == _replay(ref, points)
+        assert _index_state(new) == _index_state(ref)
+        return actions
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_streams(self, seed):
+        actions = self._both(
+            _random_stream(seed), eps_d=0.9, eps_c=0.5, eps_s=0.3, gc=0.2, seed=seed
+        )
+        assert "insertion" in actions
+
+    @pytest.mark.parametrize("dataset", ["porto", "geolife"])
+    @pytest.mark.parametrize("eps_d, eps_c", [(0.8, 0.5), (0.5, 0.3), (0.95, 0.8)])
+    def test_quick_datasets(self, dataset, eps_d, eps_c):
+        actions = self._both(
+            QUICK.dataset(dataset).load(), eps_d=eps_d, eps_c=eps_c,
+            eps_s=QUICK.eps_s, gc=QUICK.gc, seed=QUICK.seed,
+        )
+        assert "insertion" in actions
+
+    def test_uncovered_point_raises_before_the_graft(self, monkeypatch):
+        """An insertion whose rectangles leave one of its points outside
+        raises ``RuntimeError`` before anything is grafted; once the
+        rectangles cover again, the index goes on as if the failed push had
+        never come."""
+        points = _random_stream(0)
+        kw = dict(eps_d=0.9, eps_c=0.5, eps_s=0.3, gc=0.2, seed=0)
+        t = 1 + _replay(TPI(**kw), points).index("insertion")
+        tpi, ref = TPI(**kw), TPI(**kw)
+        _replay(tpi, points[points.t < t])
+        _replay(ref, points[points.t < t])
+        f = points[points.t == t]
+        step = (t, f.traj_id.to_numpy(), f.x.to_numpy(), f.y.to_numpy())
+        real = pi_module.mbrs
+        monkeypatch.setattr(pi_module, "mbrs", lambda xy, labels: real(xy, labels)[:-1])
+        before = _index_state(tpi)
+        with pytest.raises(RuntimeError, match=f"t={t}"):
+            tpi.push(*step)
+        assert _index_state(tpi) == before
+        monkeypatch.setattr(pi_module, "mbrs", real)
+        assert tpi.push(*step) == ref.push(*step) == "insertion"
+        assert _index_state(tpi) == _index_state(ref)
+
+
+def test_point_in_an_insertion_overlap_is_found_under_the_host_rectangle():
+    """An insertion's rectangle may overlap the host PI's (they are built
+    from different points); a later point inside both is indexed under the
+    host rectangle, which comes first, and ``TPI.query`` finds it there."""
+    tpi = TPI(eps_d=1.0, eps_c=0.5, eps_s=10.0, gc=0.25)  # never re-builds
+    assert tpi.push(1, np.array([0, 1]), np.array([0.0, 0.9]), np.array([0.0, 0.9])) == "initial"
+    assert tpi.push(
+        2, np.array([0, 1, 2, 3]), np.array([0.0, 0.9, -1.0, 2.0]),
+        np.array([0.0, 0.9, 0.2, 0.8]),
+    ) == "insertion"
+    host, inserted = tpi.current.pi.rects
+    assert host.intersects(inserted)
+    assert host.contains(0.5, 0.5) and inserted.contains(0.5, 0.5)
+    assert tpi.push(
+        3, np.array([0, 1, 4]), np.array([0.0, 0.9, 0.5]), np.array([0.0, 0.9, 0.5])
+    ) == "append"
+    pi = tpi.current.pi
+    assert pi.cell_key(0.5, 0.5)[0] == 0
+    assert pi.counts_per_rect(3).tolist() == [3, 0]
+    assert tpi.query(0.5, 0.5, 3).tolist() == [4]
+    assert tpi.query(2.0, 0.8, 2).tolist() == [3]
