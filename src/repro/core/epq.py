@@ -8,10 +8,11 @@ and push the reconstructions back into the history (Alg. 1 lines 3-7).
 Section 3.2 makes only the fit and the codebook per partition, so the
 history is read and written once per step over all rows, and the
 partitions' normal equations go into one stacked solve. The paper's E-PQ
-baseline is ``run_ppq(mode=None)``: every row in partition 0. A step
-returns what it fitted -- each partition's coefficients and, outside
-global mode, its codebook for the step -- and ``run_ppq`` files them
-under (partition, t).
+baseline is ``run_ppq(mode=None)``: every row in partition 0. The engine
+keeps the stored parts: it files what a step fits -- each partition's
+coefficients and, outside global mode, its codebook for the step -- under
+(partition, t) in ``coeffs`` and ``codebooks_t``, and ``merge`` moves a
+merged-away partition's global codebook into its target's.
 
 Codebook modes:
   * ``global``  -- one incremental error-bounded codebook per partition
@@ -52,8 +53,6 @@ class StepResult:
     codes: np.ndarray  # codeword index per point (index into its partition's codebook)
     recon: np.ndarray  # (n, 2) codebook reconstruction That
     pred: np.ndarray  # (n, 2) prediction Ttilde
-    coeffs: dict[int, np.ndarray]  # pid -> (k,) coefficients P[t] (zeros if none)
-    codebooks_t: dict[int, np.ndarray]  # pid -> the step's codebook (per_t/fixed)
 
 
 class EPQEngine:
@@ -62,7 +61,9 @@ class EPQEngine:
     Partition ``pid`` draws its codebook seeds from ``seed + 7919 * (pid +
     1)`` (plus ``t`` for the per-step codebooks). In global mode
     ``quantizers`` holds the codebook of every partition that has coded
-    points; ``run_ppq`` moves a merged-away partition's into its target's.
+    points. Under (pid, t), ``coeffs`` holds every step's coefficients P[t]
+    (zeros if none fitted) and ``codebooks_t`` every per_t/fixed codebook.
+    ``remap`` maps a merged-away pid to (target pid, code offset).
     """
 
     def __init__(
@@ -83,19 +84,39 @@ class EPQEngine:
         self.history = History(k)
         self.codebook_mode = codebook_mode
         self.quantizers: dict[int, IncrementalQuantizer] = {}
+        self.coeffs: dict[tuple[int, int], np.ndarray] = {}
+        self.codebooks_t: dict[tuple[int, int], np.ndarray] = {}
+        self.remap: dict[int, tuple[int, int]] = {}
+
+    @property
+    def codebooks(self) -> dict[int, np.ndarray]:
+        """Global mode's codebook of every partition that has coded points."""
+        return {pid: q.codebook for pid, q in self.quantizers.items()}
+
+    def merge(self, merges: list[tuple[int, int]]) -> None:
+        """Carry the codebooks of partition merges (src, dst) along
+        (Section 3.2.2): in global mode the target's quantizer absorbs the
+        source's codewords, and ``remap`` records where the source's emitted
+        codes move. A source split off in this same update has coded nothing
+        and has no quantizer; any other source merges into a lower, older
+        pid, which has one. In per_t/fixed modes codes reference (pid, t)
+        codebooks, which a merge leaves as they are."""
+        for src, dst in merges:
+            if src in self.quantizers:
+                self.remap[src] = (dst, self.quantizers[dst].absorb(self.quantizers.pop(src)))
 
     def step(
         self,
         t: int,
         ids: np.ndarray,
         pts: np.ndarray,
-        pids: np.ndarray | None = None,
+        pids: np.ndarray,
         *,
         budget: int | None = None,
     ) -> StepResult:
         """Process the points at time ``t`` (Alg. 1 body). ``pids`` gives
-        each row's partition (default: all rows in partition 0); ``budget``
-        is the step's codeword total in fixed mode."""
+        each row's partition; ``budget`` is the step's codeword total in
+        fixed mode."""
         if self.codebook_mode == "fixed" and budget is None:
             raise ValueError("fixed mode needs a codeword budget")
         ids = np.asarray(ids)
@@ -103,9 +124,7 @@ class EPQEngine:
         n = len(ids)
         # one stable sort by pid: partition j's rows, in their given order,
         # are the slice [bounds[j]:bounds[j + 1]) of the grouped arrays
-        uniq, order, bounds = group_rows(
-            np.zeros(n, dtype=np.int64) if pids is None else np.asarray(pids)
-        )
+        uniq, order, bounds = group_rows(np.asarray(pids))
         ids, pts = ids[order], pts[order]
         pred = np.zeros((n, 2))
         coeffs = np.zeros((len(uniq), self.k))
@@ -143,7 +162,6 @@ class EPQEngine:
 
         codes = np.empty(n, dtype=np.int64)
         words = np.empty((n, 2))
-        codebooks_t: dict[int, np.ndarray] = {}
         shares = _split_budget(budget, uniq, np.diff(bounds))
         for pid, a, b in zip(uniq.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
             e = errs[a:b]
@@ -157,30 +175,26 @@ class EPQEngine:
             elif self.codebook_mode == "per_t":
                 q = IncrementalQuantizer(self.eps1, seed=seed + t)
                 codes[a:b] = q.quantize(e)
-                cb = codebooks_t[pid] = q.codebook
+                cb = q.codebook
             elif self.predict_enabled:  # fixed
                 codes[a:b], cb = kmeans(e, shares[pid], seed=seed + t)
-                codebooks_t[pid] = cb
             else:
                 # Without prediction this is Q-trajectory, an online quantizer
                 # that cannot iterate over the data: single-pass codebook,
                 # picked farthest-first from the batch, no Lloyd refinement.
                 cb = farthest_first(e, max(1, min(shares[pid], b - a)), seed + t)
-                codebooks_t[pid] = cb
                 codes[a:b], _ = nearest(cb, e)
+            if self.codebook_mode != "global":
+                self.codebooks_t[(pid, t)] = cb
             words[a:b] = cb[codes[a:b]]
         recon = pred + words
 
         self.history.push(ids, recon)
+        for pid, c in zip(uniq.tolist(), coeffs):
+            self.coeffs[(pid, t)] = c
         back = np.empty(n, dtype=np.intp)
         back[order] = np.arange(n)
-        return StepResult(
-            codes=codes[back],
-            recon=recon[back],
-            pred=pred[back],
-            coeffs=dict(zip(uniq.tolist(), coeffs)),
-            codebooks_t=codebooks_t,
-        )
+        return StepResult(codes=codes[back], recon=recon[back], pred=pred[back])
 
 
 def _split_budget(

@@ -1,13 +1,17 @@
 """PPQ: partition-wise predictive quantization (paper Section 3.2) and the
 summary object shared by every experiment harness.
 
-``run_ppq`` drives the online pipeline timestep by timestep:
+``Encoder.push`` runs the online pipeline for one timestep:
 
   1. compute partition features (spatial position for PPQ-S, fitted AR(k)
      parameters for PPQ-A) and update the incremental partitioner;
   2. run one E-PQ step over every partition (own predictor coefficients
-     P_j[t] and own codebook per partition, Eq. 5-6);
+     P_j[t] and own codebook per partition, Eq. 5-6); the engine files the
+     parts it fits and moves merged partitions' codebooks (``EPQEngine``);
   3. optionally CQC-encode the residual of every point (Section 4).
+
+``run_ppq`` pushes every timestep in (t, traj_id) order, then rewrites
+merged-away partitions' (pid, code) and assembles the ``Summary``.
 
 Variants of the paper map to arguments:
 
@@ -62,7 +66,7 @@ class Summary:
     (xrec, yrec) -- identical when CQC is disabled. The summary *storage*
     is the codebooks + coefficients + per-point code indexes + CQC codes;
     the reconstruction columns are what the encoder computed, materialised
-    for convenience. ``run_ppq`` files each coefficient vector and per-t
+    for convenience. The engine files each coefficient vector and per-t
     codebook under the (pid, t) of the partition and step that fitted it. The
     columns are meant to be a pure function of the stored parts, but no
     test decodes them from those parts alone, and one defect remains: in
@@ -203,12 +207,11 @@ def run_ppq(
     same time across all methods"). Either way a timestamp's budget is
     split across partitions proportionally to their sizes.
     """
-    if mode not in ("A", "S", None):
-        raise ValueError(f"unknown mode {mode!r}")
-    _validate(points, codebook_mode, budget)
-    t_start = time.perf_counter()
     gs = gs if gs is not None else eps1 * 0.45
-    cqc = CQCCoder(eps1, gs) if use_cqc else None
+    config = dict(mode=mode, predict=predict, use_cqc=use_cqc, eps1=eps1, eps_p=eps_p,
+                  gs=gs, k=k, codebook_mode=codebook_mode, budget=budget)
+    _validate(points, **config)
+    t_start = time.perf_counter()
 
     # one stable sort by (t, traj_id); timesteps are runs of equal t
     traj = points["traj_id"].to_numpy().astype(np.int64)
@@ -219,109 +222,70 @@ def run_ppq(
     n = len(ts)
     cuts = np.flatnonzero(np.diff(ts)) + 1
 
-    partitioner = IncrementalPartitioner(eps_p=eps_p, seed=seed) if mode else None
-    engine = EPQEngine(
-        eps1, k=k, seed=seed, predict_enabled=predict, codebook_mode=codebook_mode
-    )
-    code_remap: dict[int, tuple[int, int]] = {}  # src pid -> (dst pid, offset)
-    ar_state = _ARState(np.unique(traj), k) if mode == "A" else None
-    part_stats: list[UpdateStats] = []
-    # the stored parts, each written at the step that fits it
-    codebooks_t: dict[tuple[int, int], np.ndarray] = {}
-    coeffs: dict[tuple[int, int], np.ndarray] = {}
-
+    enc = Encoder(np.unique(traj), seed=seed, **config)
     # per-point outputs, in the sorted row order
-    pid_out = np.zeros(n, dtype=np.int64)
-    code_out = np.empty(n, dtype=np.int64)
-    recon_out = np.empty((n, 2))
-    rec2_out = np.empty((n, 2))
-    cqc_out = np.full(n, -1, dtype=np.int64)
-
+    pid_out, code_out, cqc_out = (np.empty(n, dtype=np.int64) for _ in range(3))
+    recon_out, rec2_out = np.empty((n, 2)), np.empty((n, 2))
     for lo, hi in zip(np.r_[0, cuts].tolist(), np.r_[cuts, n].tolist()):
-        t = int(ts[lo])
-        ids = traj[lo:hi]
-        xy = xy_all[lo:hi]
-
-        if mode == "S":
-            feats = xy
-        elif mode == "A":
-            feats = ar_state.features(ids)
-        else:
-            feats = None
-
-        if partitioner is not None:
-            pids, stats = partitioner.update(ids, feats)
-            part_stats.append(stats)
-            # Partition merges carry their codebooks along (Section 3.2.2):
-            # in global-codebook mode the target quantizer absorbs the
-            # source's codewords and the source's already-emitted codes are
-            # remapped at the end. A source split off in this same update
-            # has coded nothing and has no quantizer; any other source
-            # merges into a lower, older pid, which has one. In per-t /
-            # fixed modes codes reference (pid, t) codebooks, which a merge
-            # leaves as they are, and the engine keeps no quantizers.
-            quantizers = engine.quantizers
-            for src, dst in stats.merges:
-                if src in quantizers:
-                    code_remap[src] = (dst, quantizers[dst].absorb(quantizers.pop(src)))
-            pid_out[lo:hi] = pids
-        else:
-            pids = pid_out[lo:hi]
-
-        bt = budget.get(t) if isinstance(budget, dict) else budget
-        res = engine.step(t, ids, xy, pids, budget=bt)
-        for pid, c in res.coeffs.items():
-            coeffs[(pid, t)] = c
-        for pid, cb in res.codebooks_t.items():
-            codebooks_t[(pid, t)] = cb
-        code_out[lo:hi] = res.codes
-        recon_out[lo:hi] = recon = res.recon
-
-        if cqc is not None:
-            cqc_out[lo:hi] = cqc.encode(xy - recon)
-            rec2_out[lo:hi] = cqc.correct(recon, cqc_out[lo:hi])
-        else:
-            rec2_out[lo:hi] = recon
-
-        if mode == "A":
-            ar_state.push(ids, xy)
-
-    _apply_code_remap(pid_out, code_out, code_remap)
-    coded = pd.DataFrame(
-        {
-            "traj_id": traj,
-            "t": ts.astype(np.int32),
-            "x": xy_all[:, 0],
-            "y": xy_all[:, 1],
-            "pid": pid_out,
-            "code": code_out,
-            "xhat": recon_out[:, 0],
-            "yhat": recon_out[:, 1],
-            "xrec": rec2_out[:, 0],
-            "yrec": rec2_out[:, 1],
-            "cqc": cqc_out,
-        }
-    )
+        (pid_out[lo:hi], code_out[lo:hi], recon_out[lo:hi], rec2_out[lo:hi],
+         cqc_out[lo:hi]) = enc.push(int(ts[lo]), traj[lo:hi], xy_all[lo:hi])
+    _apply_code_remap(pid_out, code_out, enc.engine.remap)
+    coded = pd.DataFrame({
+        "traj_id": traj, "t": ts.astype(np.int32), "x": xy_all[:, 0], "y": xy_all[:, 1],
+        "pid": pid_out, "code": code_out, "xhat": recon_out[:, 0], "yhat": recon_out[:, 1],
+        "xrec": rec2_out[:, 0], "yrec": rec2_out[:, 1], "cqc": cqc_out,
+    })
     return Summary(
         coded=coded,
-        codebooks={pid: q.codebook for pid, q in engine.quantizers.items()},
-        codebooks_t=codebooks_t,
-        coeffs=coeffs,
-        cqc=cqc,
-        config={
-            "mode": mode,
-            "predict": predict,
-            "use_cqc": use_cqc,
-            "eps1": eps1,
-            "eps_p": eps_p,
-            "gs": gs,
-            "k": k,
-            "codebook_mode": codebook_mode,
-            "budget": budget,
-        },
+        codebooks=enc.engine.codebooks,
+        codebooks_t=enc.engine.codebooks_t,
+        coeffs=enc.engine.coeffs,
+        cqc=enc.cqc,
+        config=config,
         build_seconds=time.perf_counter() - t_start,
-        partition_stats=part_stats,
+        partition_stats=enc.stats,
     )
+
+
+class Encoder:
+    """One PPQ build (``run_ppq``'s options), pushed one timestep at a time.
+    It owns the partitioner, PPQ-A's feature state over the sorted
+    ``traj_ids`` the build will see, the ``EPQEngine``, the CQC coder (None
+    without CQC) and ``stats``, one ``UpdateStats`` per partitioned push."""
+
+    def __init__(self, traj_ids: np.ndarray, *, mode, predict, use_cqc, eps1, eps_p,
+                 gs, k, seed, codebook_mode, budget):
+        self.budget = budget
+        self.partitioner = IncrementalPartitioner(eps_p=eps_p, seed=seed) if mode else None
+        self.ar_state = _ARState(traj_ids, k) if mode == "A" else None
+        self.engine = EPQEngine(
+            eps1, k=k, seed=seed, predict_enabled=predict, codebook_mode=codebook_mode
+        )
+        self.cqc = CQCCoder(eps1, gs) if use_cqc else None
+        self.stats: list[UpdateStats] = []
+
+    def push(self, t: int, ids: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Encode the points ``xy`` of trajectories ``ids`` at time ``t``.
+        Returns per row: its pid (from before any later merge remaps it: the
+        key of this step's coefficients), code, codebook reconstruction,
+        final reconstruction and CQC code (-1 without CQC)."""
+        if self.partitioner is None:
+            pids = np.zeros(len(ids), dtype=np.int64)
+        else:
+            feats = xy if self.ar_state is None else self.ar_state.features(ids)
+            pids, stats = self.partitioner.update(ids, feats)
+            self.stats.append(stats)
+            self.engine.merge(stats.merges)
+        budget = self.budget[t] if isinstance(self.budget, dict) else self.budget
+        res = self.engine.step(t, ids, xy, pids, budget=budget)
+        if self.cqc is None:
+            cq, rec = np.full(len(ids), -1, dtype=np.int64), res.recon
+        else:
+            cq = self.cqc.encode(xy - res.recon)
+            rec = self.cqc.correct(res.recon, cq)
+        if self.ar_state is not None:
+            self.ar_state.push(ids, xy)
+        return pids, res.codes, res.recon, rec, cq
 
 
 class _ARState:
@@ -366,9 +330,13 @@ class _ARState:
 
 
 def _validate(
-    points: pd.DataFrame, codebook_mode: str, budget: int | dict | None
+    points: pd.DataFrame, *, mode, predict, use_cqc, eps1, eps_p, gs, k,
+    codebook_mode, budget,
 ) -> None:
-    """Reject inputs the build would fail on or silently mis-handle."""
+    """Reject inputs and ``run_ppq`` options the build would fail on or
+    silently mis-handle."""
+    if mode not in ("A", "S", None):
+        raise ValueError(f"unknown mode {mode!r}")
     if len(points) == 0:
         raise ValueError("empty input: run_ppq needs at least one point")
     xy = points[["x", "y"]].to_numpy(dtype=np.float64)
@@ -383,12 +351,35 @@ def _validate(
     dup = points.duplicated(["traj_id", "t"])
     if dup.any():
         raise ValueError(f"duplicate (traj_id, t) in {int(dup.sum())} rows")
-    if codebook_mode == "fixed" and budget is None:
+    if not (math.isfinite(eps1) and eps1 >= 0):
+        raise ValueError(f"eps1 must be finite and >= 0, not {eps1!r}")
+    # CQC's grid half-width max(1, ceil(eps1/gs)) breaks Lemma 3 for gs < 0
+    if use_cqc and not (math.isfinite(gs) and gs > 0):
+        raise ValueError(f"gs must be finite and > 0 with CQC on, not {gs!r}")
+    # eps_p < 0 puts every trajectory in a partition of its own
+    if not (math.isfinite(eps_p) and eps_p >= 0):
+        raise ValueError(f"eps_p must be finite and >= 0, not {eps_p!r}")
+    if not _is_count(k):
+        raise ValueError(f"k must be an int >= 1, not {k!r}")
+    if codebook_mode != "fixed":
+        if budget is not None:
+            raise ValueError(
+                f"budget is only used with codebook_mode='fixed', not {codebook_mode!r}"
+            )
+    elif budget is None:
         raise ValueError("codebook_mode='fixed' needs a budget")
-    if codebook_mode != "fixed" and budget is not None:
-        raise ValueError(
-            f"budget is only used with codebook_mode='fixed', not {codebook_mode!r}"
-        )
+    elif isinstance(budget, dict):
+        ts = np.unique(points["t"].to_numpy()).astype(np.int64).tolist()
+        bad = [t for t in ts if not _is_count(budget.get(t))]
+        if bad:
+            raise ValueError(f"budget has no int >= 1 for {len(bad)} t, first t={bad[0]}")
+    elif not _is_count(budget):
+        raise ValueError(f"budget must be an int >= 1 or a {{t: int}} dict, not {budget!r}")
+
+
+def _is_count(v) -> bool:
+    """An int >= 1; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
 
 
 def _check_integral(col: pd.Series, name: str) -> None:
@@ -425,16 +416,13 @@ def _apply_code_remap(
     pid_arr: np.ndarray, code_arr: np.ndarray, remap: dict[int, tuple[int, int]]
 ) -> None:
     """Rewrite (pid, code) of merged-away partitions to their merge target
-    (following chains), in place. Global-codebook mode only."""
-    resolved: dict[int, tuple[int, int]] = {}
+    (following chains), in place. Global-codebook mode only. A chain ends
+    at a pid that is no source, so no rewritten row is matched again."""
     for src in remap:
-        pid, off = src, 0
-        while pid in remap:
-            dst, o = remap[pid]
+        dst, off = src, 0
+        while dst in remap:
+            dst, o = remap[dst]
             off += o
-            pid = dst
-        resolved[src] = (pid, off)
-    for src, (dst, off) in resolved.items():
         m = pid_arr == src
         code_arr[m] += off
         pid_arr[m] = dst

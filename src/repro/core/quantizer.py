@@ -5,8 +5,9 @@ vector e satisfies ``||e - C(b)||_2 <= eps`` -- when new vectors violate
 the bound with the existing codewords, additional codewords are grown from
 the violators (the paper's "additional codewords are added to update C").
 
-``EPQEngine`` keeps one per partition in the global codebook mode and
-makes a fresh one per partition and timestep in the per-t mode. The
+``EPQEngine`` keeps one per partition in the global codebook mode, where
+a merged-away partition's is ``absorb``-ed into its target's, and makes a
+fresh one per partition and timestep in the per-t mode. The
 fixed-size codebooks of Tables 2/4 (every method gets the *same number*
 of codewords) are no quantizer's: ``EPQEngine.step`` fits them once per
 partition and timestep with ``kmeans``, or ``farthest_first`` without
@@ -66,10 +67,6 @@ class IncrementalQuantizer:
             self.codebook = np.concatenate([self.codebook, cents])
             codes[bad] = offset + labels
         return codes
-
-    def reconstruct(self, codes: np.ndarray) -> np.ndarray:
-        """Codeword vectors for ``codes``."""
-        return self.codebook[np.asarray(codes, dtype=np.int64)]
 
     def absorb(self, other: "IncrementalQuantizer") -> int:
         """Append another quantizer's codewords (partition merge,

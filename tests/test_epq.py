@@ -8,6 +8,11 @@ from repro.core.predictor import History, fit_coeffs
 from repro.core.quantizer import IncrementalQuantizer, nearest
 
 
+def _p0(ids):
+    """Every row in partition 0."""
+    return np.zeros(len(ids), dtype=np.int64)
+
+
 def _smooth_batch(g, n, t, v=0.001):
     """n points moving with constant per-trajectory velocity."""
     base = g.random((n, 2))
@@ -23,13 +28,13 @@ class TestEPQEngine:
         base, vel = _smooth_batch(g, 20, 0)
         for t in range(1, 15):
             pts = base + vel * t + g.normal(0, 1e-4, (20, 2))
-            res = eng.step(t, ids, pts)
+            res = eng.step(t, ids, pts, _p0(ids))
             err = np.sqrt(((pts - res.recon) ** 2).sum(axis=1))
             assert err.max() <= 0.01 + 1e-12
 
     def test_cold_start_prediction_zero(self):
         eng = EPQEngine(0.5, k=2, seed=0)
-        res = eng.step(1, np.array([0]), np.array([[3.0, 4.0]]))
+        res = eng.step(1, np.array([0]), np.array([[3.0, 4.0]]), _p0([0]))
         assert np.allclose(res.pred, 0.0)
 
     def test_warm_prediction_nonzero(self):
@@ -37,9 +42,9 @@ class TestEPQEngine:
         ids = np.arange(10)
         g = np.random.default_rng(1)
         pts = g.random((10, 2))
-        eng.step(1, ids, pts)
-        eng.step(2, ids, pts + 0.01)
-        res = eng.step(3, ids, pts + 0.02)
+        eng.step(1, ids, pts, _p0(ids))
+        eng.step(2, ids, pts + 0.01, _p0(ids))
+        res = eng.step(3, ids, pts + 0.02, _p0(ids))
         assert np.abs(res.pred).max() > 0
 
     def test_prediction_shrinks_error_range(self):
@@ -53,7 +58,7 @@ class TestEPQEngine:
         errs = []
         for t in range(1, 12):
             pts = base + vel * t
-            res = eng.step(t, ids, pts)
+            res = eng.step(t, ids, pts, _p0(ids))
             errs.append(np.abs(pts - res.pred).mean())
         assert errs[-1] < errs[0] / 10
 
@@ -61,18 +66,21 @@ class TestEPQEngine:
         eng = EPQEngine(0.5, k=2, seed=0, predict_enabled=False)
         ids = np.arange(5)
         pts = np.random.default_rng(3).random((5, 2))
-        eng.step(1, ids, pts)
-        eng.step(2, ids, pts)
-        res = eng.step(3, ids, pts)
+        eng.step(1, ids, pts, _p0(ids))
+        eng.step(2, ids, pts, _p0(ids))
+        res = eng.step(3, ids, pts, _p0(ids))
         assert np.allclose(res.pred, 0.0)
-        assert np.allclose(res.coeffs[0], 0.0)
+        assert np.allclose(eng.coeffs[(0, 3)], 0.0)
 
     def test_coeffs_recorded_per_t(self):
-        """Every step returns the P[t] it fitted, for run_ppq to file."""
+        """Every step files the P[t] it fitted under (pid, t)."""
         eng = EPQEngine(0.5, k=2, seed=0)
         ids = np.arange(5)
         pts = np.random.default_rng(4).random((5, 2))
-        got = [eng.step(t, ids, pts + 0.001 * t).coeffs[0] for t in (1, 2, 3)]
+        for t in (1, 2, 3):
+            eng.step(t, ids, pts + 0.001 * t, _p0(ids))
+        assert list(eng.coeffs) == [(0, 1), (0, 2), (0, 3)]
+        got = list(eng.coeffs.values())
         assert [c.shape for c in got] == [(2,)] * 3
         assert np.allclose(got[0], 0.0)  # no history yet: nothing to fit
         assert np.abs(got[2]).max() > 0
@@ -82,23 +90,22 @@ class TestEPQEngine:
         eng = EPQEngine(0.05, k=2, seed=0)
         ids = np.arange(10)
         pts = g.random((10, 2))
-        eng.step(1, ids, pts)
+        eng.step(1, ids, pts, _p0(ids))
         v1 = len(eng.quantizers[0])
-        eng.step(2, ids, pts)  # same raw points, warm predictions differ
+        eng.step(2, ids, pts, _p0(ids))  # same raw points, warm predictions differ
         assert len(eng.quantizers[0]) >= v1
 
     def test_per_t_mode_records_codebooks(self):
-        """Each per_t step returns its own fresh codebook, which its codes
+        """Each per_t step files its own fresh codebook, which its codes
         index; no global codebook is made."""
         eng = EPQEngine(0.1, k=2, seed=0, codebook_mode="per_t")
         ids = np.arange(8)
         g = np.random.default_rng(6)
-        cbs = []
         for t in (1, 2):
-            res = eng.step(t, ids, g.random((8, 2)))
-            assert res.codes.max() < len(res.codebooks_t[0])
-            cbs.append(res.codebooks_t[0])
-        assert cbs[0] is not cbs[1]
+            res = eng.step(t, ids, g.random((8, 2)), _p0(ids))
+            assert res.codes.max() < len(eng.codebooks_t[(0, t)])
+        assert list(eng.codebooks_t) == [(0, 1), (0, 2)]
+        assert eng.codebooks_t[(0, 1)] is not eng.codebooks_t[(0, 2)]
         assert eng.quantizers == {}
 
     def test_per_t_error_bound(self):
@@ -107,15 +114,15 @@ class TestEPQEngine:
         g = np.random.default_rng(7)
         for t in range(1, 6):
             pts = g.random((15, 2))
-            res = eng.step(t, ids, pts)
+            res = eng.step(t, ids, pts, _p0(ids))
             err = np.sqrt(((pts - res.recon) ** 2).sum(axis=1))
             assert err.max() <= 0.05 + 1e-12
 
     def test_fixed_mode_budget(self):
         eng = EPQEngine(0.05, k=2, seed=0, codebook_mode="fixed")
         ids = np.arange(30)
-        res = eng.step(1, ids, np.random.default_rng(8).random((30, 2)), budget=4)
-        assert len(res.codebooks_t[0]) == 4
+        eng.step(1, ids, np.random.default_rng(8).random((30, 2)), _p0(ids), budget=4)
+        assert len(eng.codebooks_t[(0, 1)]) == 4
 
     def test_fixed_mode_budget_override(self):
         """Each step's budget sizes that step's codebook."""
@@ -123,13 +130,13 @@ class TestEPQEngine:
         ids = np.arange(30)
         g = np.random.default_rng(9)
         for t, v in ((1, 4), (2, 7)):
-            res = eng.step(t, ids, g.random((30, 2)), budget=v)
-            assert len(res.codebooks_t[0]) == v
+            eng.step(t, ids, g.random((30, 2)), _p0(ids), budget=v)
+            assert len(eng.codebooks_t[(0, t)]) == v
 
     def test_fixed_mode_without_budget_raises(self):
         eng = EPQEngine(0.05, codebook_mode="fixed")
         with pytest.raises(ValueError):
-            eng.step(1, np.array([0]), np.array([[0.0, 0.0]]))
+            eng.step(1, np.array([0]), np.array([[0.0, 0.0]]), _p0([0]))
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -142,17 +149,17 @@ class TestEPQEngine:
         eng = EPQEngine(0.05, seed=0, codebook_mode="fixed", predict_enabled=False)
         ids = np.arange(40)
         pts = np.random.default_rng(10).random((40, 2))
-        res = eng.step(1, ids, pts, budget=8)
-        assert len(res.codebooks_t[0]) == 8
-        assert (res.codebooks_t[0][:, None, :] == pts[None, :, :]).all(axis=2).any(axis=1).all()
+        eng.step(1, ids, pts, _p0(ids), budget=8)
+        cb = eng.codebooks_t[(0, 1)]
+        assert len(cb) == 8
+        assert (cb[:, None, :] == pts[None, :, :]).all(axis=2).any(axis=1).all()
 
     def test_variable_membership(self):
         """Trajectories may appear/disappear across timesteps."""
         eng = EPQEngine(0.1, k=2, seed=0)
         g = np.random.default_rng(11)
-        eng.step(1, np.array([1, 2, 3]), g.random((3, 2)))
-        eng.step(2, np.array([2, 3]), g.random((2, 2)))
-        res = eng.step(3, np.array([1, 2, 4]), g.random((3, 2)))
+        for t, ids in ((1, [1, 2, 3]), (2, [2, 3]), (3, [1, 2, 4])):
+            res = eng.step(t, np.array(ids), g.random((len(ids), 2)), _p0(ids))
         assert len(res.codes) == 3
 
 
@@ -208,11 +215,11 @@ class _PerPartitionSteps:
             if self.codebook_mode == "global":
                 q = self.quantizers.setdefault(pid, IncrementalQuantizer(self.eps1, seed=seed))
                 cd = q.quantize(e)
-                r = p + q.reconstruct(cd)
+                r = p + q.codebook[cd]
             elif self.codebook_mode == "per_t":
                 q = IncrementalQuantizer(self.eps1, seed=seed + t)
                 cd = q.quantize(e)
-                r = p + q.reconstruct(cd)
+                r = p + q.codebook[cd]
                 codebooks_t[pid] = q.codebook
             else:
                 if self.predict_enabled:
@@ -260,11 +267,12 @@ def _assert_same_steps(eng, ref, schedule, budget=None):
         assert res.codes.tolist() == codes.tolist()
         assert _bits(res.recon) == _bits(recon)
         assert _bits(res.pred) == _bits(pred)
-        assert list(res.coeffs) == sorted(coeffs)
-        assert {p: _bits(c) for p, c in res.coeffs.items()} == {
+        # the engine files this step's parts under (pid, t), pids ascending
+        assert [p for p, s in eng.coeffs if s == t] == sorted(coeffs)
+        assert {p: _bits(c) for (p, s), c in eng.coeffs.items() if s == t} == {
             p: _bits(c) for p, c in coeffs.items()
         }
-        assert {p: _bits(c) for p, c in res.codebooks_t.items()} == {
+        assert {p: _bits(c) for (p, s), c in eng.codebooks_t.items() if s == t} == {
             p: _bits(c) for p, c in codebooks_t.items()
         }
     assert {p: _bits(q.codebook) for p, q in eng.quantizers.items()} == {
@@ -304,17 +312,18 @@ class TestMultiPartitionStep:
     def test_partition_without_warm_rows_has_zero_coefficients(self):
         eng = EPQEngine(0.002, k=2, seed=3)
         for t, ids, pts, pids in _schedule():
-            res = eng.step(t, ids, pts, pids)
+            eng.step(t, ids, pts, pids)
             if t >= 2:
-                assert res.coeffs[9].tolist() == [0.0, 0.0]
+                assert eng.coeffs[(9, t)].tolist() == [0.0, 0.0]
             if t >= 3:
-                assert np.abs(res.coeffs[0]).max() > 0
+                assert np.abs(eng.coeffs[(0, t)]).max() > 0
 
     def test_first_step_on_empty_history(self):
         t, ids, pts, pids = _schedule()[0]
-        res = EPQEngine(0.002, k=2, seed=3).step(t, ids, pts, pids)
+        eng = EPQEngine(0.002, k=2, seed=3)
+        res = eng.step(t, ids, pts, pids)
         assert _bits(res.pred) == _bits(np.zeros_like(pts))
-        assert all(c.tolist() == [0.0, 0.0] for c in res.coeffs.values())
+        assert all(c.tolist() == [0.0, 0.0] for c in eng.coeffs.values())
 
     @pytest.mark.parametrize("codebook_mode", ["global", "per_t", "fixed"])
     def test_singular_stacked_solve_falls_back_per_partition(
@@ -360,7 +369,36 @@ class TestMultiPartitionStep:
                 hist = ref.history.matrix(ids[rows][warm])
                 expect[pid] = fit_coeffs(hist, pts[rows][warm])
         monkeypatch.setattr(np.linalg, "solve", singular_when_stacked)
-        res = ref.step(t, ids, pts, pids)
+        ref.step(t, ids, pts, pids)
         assert len(expect) > 1
         for pid, c in expect.items():
-            assert _bits(res.coeffs[pid]) == _bits(c)
+            assert _bits(ref.coeffs[(pid, t)]) == _bits(c)
+
+
+class TestMerge:
+    """``EPQEngine.merge`` carries merged partitions' codebooks along."""
+
+    def test_global_merge_absorbs_and_skips_a_source_without_quantizer(self):
+        """Partition 3, split off in the same update, has coded nothing and
+        no quantizer: its merge is skipped. Partition 1's codewords go after
+        partition 0's, and its codes shift by partition 0's codebook size."""
+        eng = EPQEngine(0.01, k=2, seed=0)
+        ids = np.arange(12)
+        eng.step(1, ids, np.random.default_rng(12).random((12, 2)), ids % 2)
+        cb0, cb1 = eng.codebooks[0], eng.codebooks[1]
+        eng.merge([(3, 0), (1, 0)])
+        assert list(eng.quantizers) == [0]
+        assert _bits(eng.codebooks[0]) == _bits(np.concatenate([cb0, cb1]))
+        assert eng.remap == {1: (0, len(cb0))}
+
+    @pytest.mark.parametrize("codebook_mode", ["per_t", "fixed"])
+    def test_per_step_codebooks_stay_as_they_are(self, codebook_mode):
+        eng = EPQEngine(0.01, k=2, seed=0, codebook_mode=codebook_mode)
+        ids = np.arange(12)
+        budget = 4 if codebook_mode == "fixed" else None
+        eng.step(1, ids, np.random.default_rng(13).random((12, 2)), ids % 2, budget=budget)
+        before = dict(eng.codebooks_t)
+        eng.merge([(1, 0)])
+        assert list(eng.codebooks_t) == [(0, 1), (1, 1)]
+        assert all(eng.codebooks_t[key] is cb for key, cb in before.items())
+        assert eng.remap == {} and eng.quantizers == {}

@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 
 from repro import DEG_TO_M
-from repro.core.ppq import run_ppq
+from repro.core.ppq import Encoder, _apply_code_remap, run_ppq
 
 
 class TestBounds:
@@ -172,6 +172,38 @@ class TestStoredPartsKeyedByPartition:
             assert len(s.coeffs) == sum(st.q for st in s.partition_stats)
 
 
+class TestMergeRemap:
+    """In global codebook mode a merged-away partition's rows are rewritten
+    to the merge target at the end of the build."""
+
+    def test_chain_offsets_add(self):
+        """After 3 -> 2 at offset 5 and then 2 -> 1 at offset 7, the rows of
+        3 and 2 move to 1; pid 4 is left alone."""
+        pid = np.array([1, 2, 3, 4, 2, 3])
+        code = np.array([0, 1, 2, 3, 4, 5])
+        _apply_code_remap(pid, code, {3: (2, 5), 2: (1, 7)})
+        assert pid.tolist() == [1, 1, 1, 4, 1, 1]
+        assert code.tolist() == [0, 1 + 7, 2 + 12, 3, 4 + 7, 5 + 12]
+
+    def test_push_returns_the_pid_that_keys_its_coefficients(self, porto_pts):
+        """``Encoder.push`` returns each row's pid from before the remap:
+        the set of a step's pids is the set of its coefficient keys, and the
+        rows whose pid the build rewrote are those of merged-away pids."""
+        s = run_ppq(porto_pts, mode="A", use_cqc=False, eps1=0.001, eps_p=0.05)
+        enc = Encoder(np.unique(porto_pts.traj_id), seed=0, **s.config)
+        pushed = []
+        for t, f in porto_pts.sort_values(["t", "traj_id"]).groupby("t"):
+            pids = enc.push(int(t), f.traj_id.to_numpy(), f[["x", "y"]].to_numpy())[0]
+            assert {(p, t) for p in pids.tolist()} == {
+                key for key in enc.engine.coeffs if key[1] == t
+            }
+            pushed.append(pids)
+        pushed = np.concatenate(pushed)
+        moved = pushed != s.coded.pid.to_numpy()
+        assert moved.any()
+        assert set(pushed[moved].tolist()) == set(enc.engine.remap) & set(pushed.tolist())
+
+
 class TestInputValidation:
     """run_ppq rejects, with a ValueError naming the case, inputs it would
     otherwise fail on deep inside the build or mis-handle silently."""
@@ -198,6 +230,66 @@ class TestInputValidation:
     def test_fixed_without_budget_rejected(self, porto_pts):
         with pytest.raises(ValueError, match="codebook_mode='fixed' needs a budget"):
             run_ppq(porto_pts, mode=None, codebook_mode="fixed")
+
+    @pytest.mark.parametrize(
+        "opts,msg",
+        [
+            (dict(eps1=-0.001), "eps1 must be finite and >= 0"),
+            (dict(eps1=np.nan), "eps1 must be finite and >= 0"),
+            (dict(gs=-0.00045), "gs must be finite and > 0 with CQC on"),
+            (dict(gs=0.0), "gs must be finite and > 0 with CQC on"),
+            (dict(gs=np.inf), "gs must be finite and > 0 with CQC on"),
+            (dict(eps1=0.0), "gs must be finite and > 0 with CQC on"),  # gs = 0.45 eps1
+            (dict(eps_p=-1.0), "eps_p must be finite and >= 0"),
+            (dict(eps_p=np.nan), "eps_p must be finite and >= 0"),
+            (dict(k=0), "k must be an int >= 1"),
+            (dict(k=2.0), "k must be an int >= 1"),
+            (dict(k=True), "k must be an int >= 1"),
+        ],
+        ids=["eps1-negative", "eps1-nan", "gs-negative", "gs-zero", "gs-inf",
+             "gs-default-zero", "eps_p-negative", "eps_p-nan", "k-zero", "k-float",
+             "k-bool"],
+    )
+    def test_bad_build_parameter_rejected(self, porto_pts, opts, msg):
+        """gs < 0 used to build and break Lemma 3, gs = 0 to raise
+        ZeroDivisionError, eps_p < 0 to give every trajectory a partition of
+        its own, and k = 0 to raise IndexError."""
+        with pytest.raises(ValueError, match=msg):
+            run_ppq(porto_pts, **{"mode": "S", "eps_p": 0.02, **opts})
+
+    def test_gs_unchecked_without_cqc(self, porto_pts):
+        s = run_ppq(porto_pts, mode=None, use_cqc=False, gs=-1.0)
+        assert s.cqc is None
+
+    @pytest.mark.parametrize("budget", [0, -3, 2.5, True, np.float64(4.0), "4"])
+    def test_bad_fixed_budget_rejected(self, porto_pts, budget):
+        """budget 0 and -3 used to build with one codeword per partition and
+        step, and 2.5 to raise TypeError from a slice."""
+        with pytest.raises(ValueError, match="budget must be an int >= 1 or a"):
+            run_ppq(porto_pts, mode=None, codebook_mode="fixed", budget=budget)
+
+    def test_budget_dict_missing_a_t_rejected(self, porto_pts):
+        """A dict without the second step's t used to fail at that step,
+        with "fixed mode needs a codeword budget"."""
+        ts = sorted(porto_pts.t.unique().tolist())
+        with pytest.raises(
+            ValueError, match=f"budget has no int >= 1 for {len(ts) - 1} t, first t={ts[1]}"
+        ):
+            run_ppq(porto_pts, mode=None, codebook_mode="fixed", budget={ts[0]: 4})
+
+    @pytest.mark.parametrize("bad", [0, 2.5, None])
+    def test_budget_dict_bad_count_rejected(self, porto_pts, bad):
+        ts = sorted(porto_pts.t.unique().tolist())
+        budget = {t: 4 for t in ts} | {ts[-1]: bad}
+        with pytest.raises(ValueError, match=f"budget has no int >= 1 for 1 t, first t={ts[-1]}"):
+            run_ppq(porto_pts, mode=None, codebook_mode="fixed", budget=budget)
+
+    def test_numpy_int_budget_accepted(self, porto_pts):
+        ts = porto_pts.t.unique().tolist()
+        want = run_ppq(porto_pts, mode=None, codebook_mode="fixed", budget=4).coded
+        for budget in (np.int64(4), {t: np.int32(4) for t in ts}):
+            got = run_ppq(porto_pts, mode=None, codebook_mode="fixed", budget=budget).coded
+            pd.testing.assert_frame_equal(got, want, check_exact=True)
 
     def test_nan_t_rejected(self, porto_pts):
         """NaN timestamps on three trajectories used to be dropped silently."""

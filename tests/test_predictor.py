@@ -185,15 +185,16 @@ class TestEPQStepHistory:
         the last reconstruction and the AR fit respectively."""
         eng = EPQEngine(0.5, k=2, seed=0)
         warm, ramping, cold = 4, 2**40, 11
-        eng.step(1, np.array([warm]), np.array([[1.0, 1.0]]))
-        eng.step(2, np.array([warm, ramping]), np.array([[2.0, 2.0], [7.0, 8.0]]))
+        eng.step(1, np.array([warm]), np.array([[1.0, 1.0]]), np.zeros(1, int))
+        eng.step(2, np.array([warm, ramping]), np.array([[2.0, 2.0], [7.0, 8.0]]),
+                 np.zeros(2, int))
         hist = eng.history.matrix(np.array([warm, ramping]))
         last_ramping = hist[1, 0].copy()
         ids = np.array([cold, ramping, warm])
         pts = np.array([[5.0, 5.0], [7.5, 8.5], [3.0, 3.0]])
-        res = eng.step(3, ids, pts)
+        res = eng.step(3, ids, pts, np.zeros(3, int))
         assert res.pred[0].tolist() == [0.0, 0.0]
         assert np.array_equal(res.pred[1], last_ramping)
         coeffs = fit_coeffs(hist[:1], pts[2:])
         assert np.array_equal(res.pred[2], predict(hist[:1], coeffs)[0])
-        assert np.array_equal(res.coeffs[0], coeffs)
+        assert np.array_equal(eng.coeffs[(0, 3)], coeffs)

@@ -36,7 +36,7 @@ class TestIncrementalQuantizer:
         q = IncrementalQuantizer(eps, seed=0)
         pts = g.random((400, 2)) * 3
         codes = q.quantize(pts)
-        err = np.sqrt(((pts - q.reconstruct(codes)) ** 2).sum(axis=1))
+        err = np.sqrt(((pts - q.codebook[codes]) ** 2).sum(axis=1))
         assert err.max() <= eps + 1e-12
 
     def test_bound_holds_across_batches(self):
@@ -45,7 +45,7 @@ class TestIncrementalQuantizer:
         for _ in range(5):
             pts = g.random((100, 2)) * 2
             codes = q.quantize(pts)
-            err = np.sqrt(((pts - q.reconstruct(codes)) ** 2).sum(axis=1))
+            err = np.sqrt(((pts - q.codebook[codes]) ** 2).sum(axis=1))
             assert err.max() <= 0.2 + 1e-12
 
     def test_codebook_grows_monotonically(self):
@@ -84,7 +84,7 @@ class TestIncrementalQuantizer:
     def test_single_point(self):
         q = IncrementalQuantizer(0.5, seed=0)
         codes = q.quantize(np.array([[2.0, 3.0]]))
-        assert np.allclose(q.reconstruct(codes), [[2.0, 3.0]])
+        assert np.allclose(q.codebook[codes], [[2.0, 3.0]])
 
     def test_empty_codebook_property(self):
         q = IncrementalQuantizer(0.5)
@@ -106,7 +106,7 @@ class TestIncrementalQuantizer:
         pts = np.array(pts)
         q = IncrementalQuantizer(eps, seed=0)
         codes = q.quantize(pts)
-        err = np.sqrt(((pts - q.reconstruct(codes)) ** 2).sum(axis=1))
+        err = np.sqrt(((pts - q.codebook[codes]) ** 2).sum(axis=1))
         assert err.max() <= eps + 1e-9
 
 
