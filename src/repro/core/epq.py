@@ -64,11 +64,15 @@ class EPQEngine:
     points. Under (pid, t), ``coeffs`` holds every step's coefficients P[t]
     (zeros if none fitted) and ``codebooks_t`` every per_t/fixed codebook.
     ``remap`` maps a merged-away pid to (target pid, code offset).
+    The reconstructed history has one row per trajectory of the build, n
+    in all; ``step`` takes the rows of its points (``Encoder.push`` maps
+    trajectory ids to them).
     """
 
     def __init__(
         self,
         eps1: float,
+        n: int,
         *,
         k: int = DEFAULT_K,
         seed: int = 0,
@@ -81,7 +85,7 @@ class EPQEngine:
         self.k = int(k)
         self.seed = seed
         self.predict_enabled = predict_enabled
-        self.history = History(k)
+        self.history = History(k, n)
         self.codebook_mode = codebook_mode
         self.quantizers: dict[int, IncrementalQuantizer] = {}
         self.coeffs: dict[tuple[int, int], np.ndarray] = {}
@@ -108,29 +112,29 @@ class EPQEngine:
     def step(
         self,
         t: int,
-        ids: np.ndarray,
+        rows: np.ndarray,
         pts: np.ndarray,
         pids: np.ndarray,
         *,
         budget: int | None = None,
     ) -> StepResult:
-        """Process the points at time ``t`` (Alg. 1 body). ``pids`` gives
-        each row's partition; ``budget`` is the step's codeword total in
-        fixed mode."""
+        """Process the points at time ``t`` (Alg. 1 body) of the distinct
+        history ``rows``. ``pids`` gives each point's partition; ``budget``
+        is the step's codeword total in fixed mode."""
         if self.codebook_mode == "fixed" and budget is None:
             raise ValueError("fixed mode needs a codeword budget")
-        ids = np.asarray(ids)
+        rows = np.asarray(rows)
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        n = len(ids)
+        n = len(rows)
         # one stable sort by pid: partition j's rows, in their given order,
         # are the slice [bounds[j]:bounds[j + 1]) of the grouped arrays
         uniq, order, bounds = group_rows(np.asarray(pids))
-        ids, pts = ids[order], pts[order]
+        rows, pts = rows[order], pts[order]
         pred = np.zeros((n, 2))
         coeffs = np.zeros((len(uniq), self.k))
         if self.predict_enabled:
-            hist = self.history.matrix(ids)
-            warm = self.history.warm_ids(ids)
+            hist = self.history.matrix(rows)
+            warm = self.history.warm_ids(rows)
             # Ramp-up: a trajectory with some but fewer than k
             # reconstructions is predicted by its last reconstruction (a
             # random-walk predictor). Only a trajectory's very first point
@@ -189,7 +193,7 @@ class EPQEngine:
             words[a:b] = cb[codes[a:b]]
         recon = pred + words
 
-        self.history.push(ids, recon)
+        self.history.push(rows, recon)
         for pid, c in zip(uniq.tolist(), coeffs):
             self.coeffs[(pid, t)] = c
         back = np.empty(n, dtype=np.intp)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.idindex import insert, lookup
 from repro.core.kmeans import (
     centroid,
     grow_partition,
@@ -88,35 +87,34 @@ class UpdateStats:
         return len(self.merges)
 
 
-@dataclass
 class IncrementalPartitioner:
     """Maintains the partition map across timesteps (Section 3.2.2).
 
     Partition ids are stable integers; merged-away ids are retired and
     never reused, so downstream codebooks keyed by pid keep decoding old
-    codes after a merge (see ``repro.core.ppq``).
+    codes after a merge (see ``repro.core.ppq``). ``_pids[r]`` is the pid
+    of row r's trajectory at its last update, -1 before its first; the
+    rows are the caller's (``Encoder.push`` maps trajectory ids to them).
     """
 
-    eps_p: float
-    seed: int = 0
-    # traj_id -> pid of its last update, as sorted ids + aligned pids
-    _ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    _pids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    _centroids: dict[int, np.ndarray] = field(default_factory=dict)
-    _next_pid: int = 0
+    def __init__(self, eps_p: float, n: int, seed: int = 0):
+        self.eps_p = eps_p
+        self.seed = seed
+        self._pids = np.full(n, -1, dtype=np.int64)
+        self._centroids: dict[int, np.ndarray] = {}
+        self._next_pid = 0
 
-    def update(self, ids: np.ndarray, feats: np.ndarray) -> tuple[np.ndarray, UpdateStats]:
-        """Assign the points active now; returns (pids per point, stats)."""
-        ids = np.asarray(ids)
+    def update(self, rows: np.ndarray, feats: np.ndarray) -> tuple[np.ndarray, UpdateStats]:
+        """Assign the points of the distinct ``rows`` active now; returns
+        (pids per point, stats)."""
         feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
-        stats = UpdateStats(n_points=len(ids))
-        pids = np.empty(len(ids), dtype=np.int64)
+        pids = self._pids[rows]
+        stats = UpdateStats(n_points=len(pids))
 
         # Step 1 -- carry forward; unseen trajectories go to the nearest
         # existing centroid (or seed the first partition).
-        rows, known = lookup(self._ids, ids)
+        known = pids >= 0
         stats.n_carried = int(known.sum())
-        pids[known] = self._pids[rows[known]]
         new_idx = np.flatnonzero(~known)
         if len(new_idx):
             if self._centroids:
@@ -176,9 +174,6 @@ class IncrementalPartitioner:
         for pid in removed:
             self._centroids.pop(pid, None)
 
-        if not known.all():
-            self._ids, (self._pids,) = insert(self._ids, ids, self._pids)
-            rows, _ = lookup(self._ids, ids)
         self._pids[rows] = pids
         stats.q = len(live_sorted) - len(removed)
         return pids, stats

@@ -1,7 +1,10 @@
 """PPQ: partition-wise predictive quantization (paper Section 3.2) and the
 summary object shared by every experiment harness.
 
-``Encoder.push`` runs the online pipeline for one timestep:
+``Encoder.push`` runs the online pipeline for one timestep. It maps the
+step's trajectory ids to state rows, the only place that does: the
+history, the partition map and PPQ-A's AR windows are arrays with one row
+per trajectory of the build, which the steps below index by row.
 
   1. compute partition features (spatial position for PPQ-S, fitted AR(k)
      parameters for PPQ-A) and update the incremental partitioner;
@@ -249,17 +252,25 @@ def run_ppq(
 
 class Encoder:
     """One PPQ build (``run_ppq``'s options), pushed one timestep at a time.
-    It owns the partitioner, PPQ-A's feature state over the sorted
-    ``traj_ids`` the build will see, the ``EPQEngine``, the CQC coder (None
-    without CQC) and ``stats``, one ``UpdateStats`` per partitioned push."""
+
+    It owns the row map: trajectory ``traj_ids[r]`` (sorted, distinct: every
+    trajectory the build will see) has state row r in the partitioner,
+    PPQ-A's feature state and the ``EPQEngine``'s history, and only ``push``
+    maps ids to rows. It also owns the CQC coder (None without CQC) and
+    ``stats``, one ``UpdateStats`` per partitioned push."""
 
     def __init__(self, traj_ids: np.ndarray, *, mode, predict, use_cqc, eps1, eps_p,
                  gs, k, seed, codebook_mode, budget):
+        self.traj_ids = np.asarray(traj_ids, dtype=np.int64)
+        if (np.diff(self.traj_ids) <= 0).any():
+            raise ValueError("traj_ids must be sorted and distinct")
+        n = len(self.traj_ids)
         self.budget = budget
-        self.partitioner = IncrementalPartitioner(eps_p=eps_p, seed=seed) if mode else None
-        self.ar_state = _ARState(traj_ids, k) if mode == "A" else None
+        self.t: int | None = None  # the last push's t
+        self.partitioner = IncrementalPartitioner(eps_p, n, seed) if mode else None
+        self.ar_state = _ARState(n, k) if mode == "A" else None
         self.engine = EPQEngine(
-            eps1, k=k, seed=seed, predict_enabled=predict, codebook_mode=codebook_mode
+            eps1, n, k=k, seed=seed, predict_enabled=predict, codebook_mode=codebook_mode
         )
         self.cqc = CQCCoder(eps1, gs) if use_cqc else None
         self.stats: list[UpdateStats] = []
@@ -268,28 +279,46 @@ class Encoder:
         """Encode the points ``xy`` of trajectories ``ids`` at time ``t``.
         Returns per row: its pid (from before any later merge remaps it: the
         key of this step's coefficients), code, codebook reconstruction,
-        final reconstruction and CQC code (-1 without CQC)."""
+        final reconstruction and CQC code (-1 without CQC).
+
+        Raises ``ValueError``, with no state changed, for an id not in
+        ``traj_ids``, an id twice in ``ids`` or a ``t`` not after the
+        previous push's."""
+        if self.t is not None and t <= self.t:
+            raise ValueError(f"t={t} is not after the previous push's t={self.t}")
+        ids = np.asarray(ids)
+        rows = np.searchsorted(self.traj_ids, ids)
+        known = rows < len(self.traj_ids)
+        known[known] = self.traj_ids[rows[known]] == ids[known]
+        if not known.all():
+            raise ValueError(f"trajectory id {ids[~known][0]} is not in traj_ids")
+        srt = np.sort(rows)
+        dup = srt[1:] == srt[:-1]
+        if dup.any():
+            raise ValueError(f"trajectory id {self.traj_ids[srt[1:][dup][0]]} pushed twice")
+        self.t = t
         if self.partitioner is None:
             pids = np.zeros(len(ids), dtype=np.int64)
         else:
-            feats = xy if self.ar_state is None else self.ar_state.features(ids)
-            pids, stats = self.partitioner.update(ids, feats)
+            feats = xy if self.ar_state is None else self.ar_state.features(rows)
+            pids, stats = self.partitioner.update(rows, feats)
             self.stats.append(stats)
             self.engine.merge(stats.merges)
         budget = self.budget[t] if isinstance(self.budget, dict) else self.budget
-        res = self.engine.step(t, ids, xy, pids, budget=budget)
+        res = self.engine.step(t, rows, xy, pids, budget=budget)
         if self.cqc is None:
             cq, rec = np.full(len(ids), -1, dtype=np.int64), res.recon
         else:
             cq = self.cqc.encode(xy - res.recon)
             rec = self.cqc.correct(res.recon, cq)
         if self.ar_state is not None:
-            self.ar_state.push(ids, xy)
+            self.ar_state.push(rows, xy)
         return pids, res.codes, res.recon, rec, cq
 
 
 class _ARState:
-    """PPQ-A's per-trajectory feature state, one row per sorted trajectory id.
+    """PPQ-A's per-trajectory feature state, one row per trajectory of the
+    build; ``Encoder.push`` maps trajectory ids to the rows it is given.
 
     Features are lag-k autocorrelations (``ar_features`` over the last
     ``AR_WINDOW`` raw points), EMA-smoothed over time: the AR parameters
@@ -298,19 +327,18 @@ class _ARState:
     undone by merges).
     """
 
-    def __init__(self, traj_ids: np.ndarray, k: int):
-        self.traj_ids = traj_ids
+    def __init__(self, n: int, k: int):
         self.k = k
-        self.window = np.zeros((len(traj_ids), AR_WINDOW, 2))  # oldest first
-        self.n_raw = np.zeros(len(traj_ids), dtype=np.int64)  # <= AR_WINDOW
-        self.ema = np.zeros((len(traj_ids), k))
+        self.window = np.zeros((n, AR_WINDOW, 2))  # oldest first
+        self.n_raw = np.zeros(n, dtype=np.int64)  # <= AR_WINDOW
+        self.ema = np.zeros((n, k))
 
-    def features(self, ids: np.ndarray) -> np.ndarray:
-        """Smoothed AR(k) features (n, k) of ``ids`` at this timestep, fitted
-        on their windows before it; folds them into the EMA state."""
-        rows = np.searchsorted(self.traj_ids, ids)
+    def features(self, rows: np.ndarray) -> np.ndarray:
+        """Smoothed AR(k) features (n, k) of the distinct ``rows`` at this
+        timestep, fitted on their windows before it; folds them into the EMA
+        state."""
         n_raw = self.n_raw[rows]
-        feats = np.empty((len(ids), self.k))
+        feats = np.empty((len(rows), self.k))
         for w in np.unique(n_raw):
             sel = n_raw == w
             feats[sel] = ar_features(self.window[rows[sel], :w], self.k)
@@ -319,9 +347,8 @@ class _ARState:
         self.ema[rows] = feats
         return feats
 
-    def push(self, ids: np.ndarray, xy: np.ndarray) -> None:
+    def push(self, rows: np.ndarray, xy: np.ndarray) -> None:
         """Append this timestep's raw points, dropping the oldest of full windows."""
-        rows = np.searchsorted(self.traj_ids, ids)
         n_raw = self.n_raw[rows]
         full = rows[n_raw == AR_WINDOW]
         self.window[full, :-1] = self.window[full, 1:]

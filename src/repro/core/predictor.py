@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.idindex import insert, lookup
-
 DEFAULT_K = 2
 """AR order. The paper does not state its k; AR(2) captures the
 constant-velocity regime dominant in vehicle data (see DESIGN.md)."""
@@ -85,49 +83,32 @@ def predict(hist: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 class History:
     """Per-trajectory buffers of the last k reconstructed points.
 
-    Row r of ``_buf`` (shape (n, k, 2), newest first) and ``_count``
-    belongs to the r-th id of the sorted array ``_ids``; an id is merged
-    in the first time it is pushed. Each call takes a batch of distinct
-    ids.
+    Row r of ``_buf`` (shape (n, k, 2), newest first) and ``_count`` is
+    the state of one trajectory of the build. The rows are the caller's:
+    ``Encoder.push`` maps trajectory ids to them. Each call takes a batch of
+    distinct rows.
     """
 
-    def __init__(self, k: int = DEFAULT_K):
+    def __init__(self, k: int, n: int):
         self.k = k
-        self._ids = np.empty(0, dtype=np.int64)
-        self._buf = np.zeros((0, k, 2))
-        self._count = np.zeros(0, dtype=np.int64)
+        self._buf = np.zeros((n, k, 2))
+        self._count = np.zeros(n, dtype=np.int64)
 
-    def counts(self, ids: np.ndarray) -> np.ndarray:
-        """Reconstructions pushed so far per id (0 for unknown ids)."""
-        rows, found = lookup(self._ids, ids)
-        out = np.zeros(len(rows), dtype=np.int64)
-        out[found] = self._count[rows[found]]
-        return out
+    def warm_ids(self, rows: np.ndarray) -> np.ndarray:
+        """Boolean mask over ``rows``: has a full k-length history."""
+        return self._count[rows] >= self.k
 
-    def warm_ids(self, ids: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``ids``: has a full k-length history."""
-        return self.counts(ids) >= self.k
-
-    def matrix(self, ids: np.ndarray) -> np.ndarray:
+    def matrix(self, rows: np.ndarray) -> np.ndarray:
         """History tensor (n, k, 2); hist[:, j-1] is the point at t-j.
 
-        Rows of ids with fewer than k pushes are zero beyond their count
-        (hist[:, 0] is the last reconstruction of every pushed id), and
-        rows of ids never pushed are zero.
+        Rows with fewer than k pushes are zero beyond their count
+        (hist[:, 0] is the last reconstruction of every pushed row), and
+        rows never pushed are zero.
         """
-        rows, found = lookup(self._ids, ids)
-        out = np.zeros((len(rows), self.k, 2))
-        out[found] = self._buf[rows[found]]
-        return out
+        return self._buf[rows]
 
-    def push(self, ids: np.ndarray, recon: np.ndarray) -> None:
+    def push(self, rows: np.ndarray, recon: np.ndarray) -> None:
         """Record reconstructed points for this timestep."""
-        rows, found = lookup(self._ids, ids)
-        if not found.all():
-            self._ids, (self._buf, self._count) = insert(
-                self._ids, ids, self._buf, self._count
-            )
-            rows, _ = lookup(self._ids, ids)
         self._buf[rows, 1:] = self._buf[rows, :-1]
         self._buf[rows, 0] = recon
         self._count[rows] += 1

@@ -45,6 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.kmeans import grow_partition
+from repro.core.partitioning import group_rows
 from repro.index.idcodec import EncodedIds, decode_ids, encode_ids
 from repro.index.rectangles import Rect, mbrs, remove_overlap
 
@@ -66,21 +67,10 @@ class _Columns(NamedTuple):
     encs: dict[int, EncodedIds]  # packed key -> encoding, lists of >= 2 IDs
 
 
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Index of the first of each run of equal values in sorted ``keys``."""
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return np.flatnonzero(first)
-
-
 def _columns(keys: np.ndarray, ids: np.ndarray) -> _Columns:
     """Group points by packed cell key; encode the lists of two or more."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    cell_keys, order, offs = group_rows(keys)
     ids = ids[order]
-    starts = _run_starts(keys)
-    offs = np.append(starts, len(keys))
-    cell_keys = keys[starts]
     encs = {}
     for i in np.flatnonzero(np.diff(offs) > 1).tolist():
         encs[int(cell_keys[i])] = encode_ids(ids[offs[i] : offs[i + 1]])
@@ -280,12 +270,9 @@ class PI:
             ats = [self._at[t]] if t in self._at else []
         if not ats:
             return [], np.zeros(0, dtype=np.int64)
-        keys = np.concatenate([a.keys for a in ats])
-        counts = np.concatenate([np.diff(a.offs) for a in ats])
-        order = np.argsort(keys, kind="stable")
-        keys, counts = keys[order], counts[order]
-        starts = _run_starts(keys)
-        return self._unpack(keys[starts]), np.add.reduceat(counts, starts)
+        keys, order, bounds = group_rows(np.concatenate([a.keys for a in ats]))
+        counts = np.concatenate([np.diff(a.offs) for a in ats])[order]
+        return self._unpack(keys), np.add.reduceat(counts, bounds[:-1])
 
     # ---------------- accounting ----------------
     def counts_per_rect(self, t: int) -> np.ndarray:

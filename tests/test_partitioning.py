@@ -135,8 +135,8 @@ def _two_blobs(n=40, d=5.0, seed=0):
     g = np.random.default_rng(seed)
     a = g.normal(0, 0.05, (n, 2))
     b = g.normal(0, 0.05, (n, 2)) + d
-    ids = np.arange(2 * n)
-    return ids, np.vstack([a, b])
+    rows = np.arange(2 * n)
+    return rows, np.vstack([a, b])
 
 
 class TestGroupRows:
@@ -156,18 +156,18 @@ class TestGroupRows:
 
 class TestIncrementalPartitioner:
     def test_initial_partition_respects_eps(self):
-        ids, feats = _two_blobs()
-        p = IncrementalPartitioner(eps_p=0.5, seed=0)
-        pids, stats = p.update(ids, feats)
-        assert stats.n_points == len(ids)
+        rows, feats = _two_blobs()
+        p = IncrementalPartitioner(0.5, len(rows), 0)
+        pids, stats = p.update(rows, feats)
+        assert stats.n_points == len(rows)
         for pid in np.unique(pids):
             m = pids == pid
             assert max_dist_to_centroid(feats[m], feats[m].mean(axis=0)) <= 0.5 + 1e-9
 
     def test_two_blobs_two_partitions(self):
-        ids, feats = _two_blobs(d=10.0)
-        p = IncrementalPartitioner(eps_p=1.0, seed=0)
-        pids, stats = p.update(ids, feats)
+        rows, feats = _two_blobs(d=10.0)
+        p = IncrementalPartitioner(1.0, len(rows), 0)
+        pids, stats = p.update(rows, feats)
         assert stats.q == 2
         # blob membership is pure
         assert len(np.unique(pids[:40])) == 1
@@ -175,23 +175,23 @@ class TestIncrementalPartitioner:
         assert pids[0] != pids[40]
 
     def test_carry_forward(self):
-        ids, feats = _two_blobs()
-        p = IncrementalPartitioner(eps_p=1.0, seed=0)
-        pids1, _ = p.update(ids, feats)
-        pids2, stats2 = p.update(ids, feats + 0.01)  # barely moved
+        rows, feats = _two_blobs()
+        p = IncrementalPartitioner(1.0, len(rows), 0)
+        pids1, _ = p.update(rows, feats)
+        pids2, stats2 = p.update(rows, feats + 0.01)  # barely moved
         assert np.array_equal(pids1, pids2)
-        assert stats2.n_carried == len(ids)
+        assert stats2.n_carried == len(rows)
         assert stats2.n_new_partitions == 0
 
     def test_resplit_on_violation(self):
-        ids, feats = _two_blobs(d=3.0)
-        p = IncrementalPartitioner(eps_p=10.0, seed=0)
-        pids1, s1 = p.update(ids, feats)
+        rows, feats = _two_blobs(d=3.0)
+        p = IncrementalPartitioner(10.0, len(rows), 0)
+        pids1, s1 = p.update(rows, feats)
         assert s1.q == 1
         # blow the blobs apart: one partition now violates eps_p
         feats2 = feats.copy()
         feats2[40:] += 50.0
-        pids2, s2 = p.update(ids, feats2)
+        pids2, s2 = p.update(rows, feats2)
         assert s2.q >= 2
         assert s2.n_resplit_partitions >= 1
         for pid in np.unique(pids2):
@@ -201,14 +201,14 @@ class TestIncrementalPartitioner:
             )
 
     def test_merge_close_partitions(self):
-        ids, feats = _two_blobs(d=100.0)
-        p = IncrementalPartitioner(eps_p=1.0, seed=0)
-        pids1, s1 = p.update(ids, feats)
+        rows, feats = _two_blobs(d=100.0)
+        p = IncrementalPartitioner(1.0, len(rows), 0)
+        pids1, s1 = p.update(rows, feats)
         assert s1.q == 2
         # move blob 2 onto blob 1 -> centroids within eps_p -> merge
         feats2 = feats.copy()
         feats2[40:] -= 100.0
-        pids2, s2 = p.update(ids, feats2)
+        pids2, s2 = p.update(rows, feats2)
         assert s2.n_merges >= 1
         assert s2.q == 1
 
@@ -216,54 +216,54 @@ class TestIncrementalPartitioner:
         """Three co-located partitions: one update merges at most one
         source into each target (the paper's merge-once rule)."""
         g = np.random.default_rng(2)
-        ids = np.arange(30)
+        rows = np.arange(30)
         feats = np.vstack(
             [g.normal(0, 0.01, (10, 2)), g.normal(5, 0.01, (10, 2)), g.normal(10, 0.01, (10, 2))]
         )
-        p = IncrementalPartitioner(eps_p=0.5, seed=0)
-        _, s1 = p.update(ids, feats)
+        p = IncrementalPartitioner(0.5, len(rows), 0)
+        _, s1 = p.update(rows, feats)
         assert s1.q == 3
         collapsed = np.tile(feats[:10], (3, 1))
-        _, s2 = p.update(ids, collapsed)
+        _, s2 = p.update(rows, collapsed)
         # q=3 -> one merge allowed into the surviving target this round
         assert s2.n_merges == 1
         assert s2.q == 2
 
     def test_new_trajectories_join_nearest(self):
-        ids, feats = _two_blobs(d=10.0)
-        p = IncrementalPartitioner(eps_p=1.0, seed=0)
-        pids1, _ = p.update(ids, feats)
-        new_ids = np.array([1000])
+        rows, feats = _two_blobs(d=10.0)
+        p = IncrementalPartitioner(1.0, len(rows) + 1, 0)
+        pids1, _ = p.update(rows, feats)
+        new_rows = np.array([len(rows)])
         new_feat = feats[:1][:]  # right on blob 1
         pids2, _ = p.update(
-            np.concatenate([ids, new_ids]), np.vstack([feats, new_feat])
+            np.concatenate([rows, new_rows]), np.vstack([feats, new_feat])
         )
         assert pids2[-1] == pids2[0]
 
     def test_pids_stable_integers(self):
-        ids, feats = _two_blobs()
-        p = IncrementalPartitioner(eps_p=1.0, seed=0)
-        pids, _ = p.update(ids, feats)
+        rows, feats = _two_blobs()
+        p = IncrementalPartitioner(1.0, len(rows), 0)
+        pids, _ = p.update(rows, feats)
         assert pids.dtype == np.int64
         assert (pids >= 0).all()
 
     def test_stats_q_counts_live_partitions(self):
         """q counts the partitions with members now, not dormant ones."""
-        ids, feats = _two_blobs(d=10.0)
-        p = IncrementalPartitioner(eps_p=1.0, seed=0)
-        pids, s = p.update(ids, feats)
+        rows, feats = _two_blobs(d=10.0)
+        p = IncrementalPartitioner(1.0, len(rows), 0)
+        pids, s = p.update(rows, feats)
         assert s.q == len(np.unique(pids)) == 2
-        pids2, s2 = p.update(ids[:40], feats[:40])  # blob 2 goes dormant
+        pids2, s2 = p.update(rows[:40], feats[:40])  # blob 2 goes dormant
         assert s2.q == len(np.unique(pids2)) == 1
 
     def test_merge_events_recorded(self):
-        ids, feats = _two_blobs(d=100.0)
-        p = IncrementalPartitioner(eps_p=1.0, seed=0)
-        _, s1 = p.update(ids, feats)
+        rows, feats = _two_blobs(d=100.0)
+        p = IncrementalPartitioner(1.0, len(rows), 0)
+        _, s1 = p.update(rows, feats)
         assert s1.merges == []
         feats2 = feats.copy()
         feats2[40:] -= 100.0
-        pids2, s2 = p.update(ids, feats2)
+        pids2, s2 = p.update(rows, feats2)
         assert s2.n_merges == len(s2.merges) >= 1
         src, dst = s2.merges[0]
         assert src != dst

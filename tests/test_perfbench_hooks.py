@@ -51,9 +51,10 @@ def test_traced_ppqa_build_reaches_the_layers(tracing, porto_pts):
 
 
 def test_traced_ppqs_build_counts_one_step_per_timestep(tracing, geolife_pts):
-    """Under the wrappers a PPQ-S build runs one partitioner update and one
-    ``EPQEngine.step`` per timestep, and one quantize per partition live at
-    that timestep, so the traced counters count exactly that."""
+    """Under the wrappers a PPQ-S build runs one partitioner update, one
+    ``EPQEngine.step`` and three history calls (``warm_ids``, ``matrix``,
+    ``push``) per timestep, and one quantize per partition live at that
+    timestep, so the traced counters count exactly that."""
     patches = tracing.layer_patches(False)
     tracer = tracing.Tracer()
     with tracing.installed(tracer, patches):
@@ -65,6 +66,7 @@ def test_traced_ppqs_build_counts_one_step_per_timestep(tracing, geolife_pts):
     assert live > n_steps  # more than one partition at some timestep
     assert calls["core.partitioning.update"] == n_steps
     assert calls["core.epq.step"] == n_steps
+    assert calls["core.predictor.history"] == 3 * n_steps
     assert calls["core.quantizer.quantize"] == live
 
 

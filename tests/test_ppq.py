@@ -204,6 +204,91 @@ class TestMergeRemap:
         assert set(pushed[moved].tolist()) == set(enc.engine.remap) & set(pushed.tolist())
 
 
+def _encoder(mode, codebook_mode="global", traj_ids=(1, 3, 8)):
+    """An encoder over ``traj_ids``, CQC on."""
+    return Encoder(np.array(traj_ids), mode=mode, predict=True, use_cqc=True,
+                   eps1=0.001, eps_p=0.02, gs=0.00045, k=2, seed=0,
+                   codebook_mode=codebook_mode, budget=None)
+
+
+def _step_xy(t, ids):
+    """Points of ``ids`` at ``t``, each moving on its own line."""
+    ids = np.asarray(ids, dtype=np.float64)
+    return np.stack([0.01 * ids + 0.003 * t, 0.02 * ids - 0.001 * t * ids], axis=1)
+
+
+def _warm_encoders(mode):
+    """Two encoders after the same three pushes of every trajectory."""
+    a, b = _encoder(mode), _encoder(mode)
+    for t in (0, 1, 2):
+        for enc in (a, b):
+            enc.push(t, [1, 3, 8], _step_xy(t, [1, 3, 8]))
+    return a, b
+
+
+def _same_encoders(a, b):
+    """Both encoders code one more step alike and hold the same stored parts."""
+    ids = np.array([1, 3, 8])
+    t = a.t + 1
+    for x, y in zip(a.push(t, ids, _step_xy(t, ids)), b.push(t, ids, _step_xy(t, ids))):
+        assert np.array_equal(x, y)
+    for name in ("coeffs", "codebooks", "codebooks_t"):
+        got, want = getattr(a.engine, name), getattr(b.engine, name)
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[key], want[key]) for key in got)
+    assert len(a.stats) == len(b.stats)
+
+
+class TestEncoderPush:
+    """``Encoder.push`` maps trajectory ids to state rows. It rejects a push
+    it cannot map, or one out of time order, with a ValueError naming the
+    case, and changes no state."""
+
+    @pytest.mark.parametrize("mode", ["A", "S", None])
+    @pytest.mark.parametrize("ids,bad", [([1, 9], 9), ([2, 3], 2), ([0], 0)])
+    def test_id_not_in_traj_ids_rejected(self, mode, ids, bad):
+        a, b = _warm_encoders(mode)
+        with pytest.raises(ValueError, match=f"trajectory id {bad} is not in traj_ids"):
+            a.push(3, np.array(ids), _step_xy(3, ids))
+        _same_encoders(a, b)
+
+    @pytest.mark.parametrize("mode", ["A", "S", None])
+    def test_duplicate_id_rejected(self, mode):
+        a, b = _warm_encoders(mode)
+        with pytest.raises(ValueError, match="trajectory id 3 pushed twice"):
+            a.push(3, np.array([3, 1, 3]), _step_xy(3, [3, 1, 3]))
+        _same_encoders(a, b)
+
+    @pytest.mark.parametrize("codebook_mode", ["global", "per_t"])
+    @pytest.mark.parametrize("t", [5, 4])
+    def test_t_not_after_previous_push_rejected(self, codebook_mode, t):
+        a, b = _encoder("S", codebook_mode), _encoder("S", codebook_mode)
+        for enc in (a, b):
+            enc.push(5, [1, 3], _step_xy(5, [1, 3]))
+        stored = dict(a.engine.codebooks_t)
+        with pytest.raises(ValueError, match=f"t={t} is not after the previous push's t=5"):
+            a.push(t, np.array([1, 3, 8]), _step_xy(t, [1, 3, 8]))
+        assert a.engine.codebooks_t.keys() == stored.keys()
+        assert all(a.engine.codebooks_t[key] is cb for key, cb in stored.items())
+        _same_encoders(a, b)
+
+    @pytest.mark.parametrize("traj_ids", [[3, 1, 8], [1, 3, 3]])
+    def test_unsorted_traj_ids_rejected(self, traj_ids):
+        with pytest.raises(ValueError, match="traj_ids must be sorted and distinct"):
+            _encoder("S", traj_ids=traj_ids)
+
+    @pytest.mark.parametrize("mode,eps_p", [("A", 0.05), ("S", 0.02), (None, 0.05)])
+    def test_sparse_large_ids_code_alike(self, porto_pts, mode, eps_p):
+        """Ids relabelled by a strictly increasing map to sparse large values
+        give the same partitions, codes and reconstructions."""
+        relabelled = porto_pts.assign(traj_id=porto_pts.traj_id.astype(np.int64) * 2**33 + 5)
+        a = run_ppq(porto_pts, mode=mode, eps_p=eps_p)
+        b = run_ppq(relabelled, mode=mode, eps_p=eps_p)
+        assert np.array_equal(b.coded.traj_id, a.coded.traj_id * 2**33 + 5)
+        cols = ["t", "pid", "code", "cqc", "xhat", "yhat", "xrec", "yrec"]
+        pd.testing.assert_frame_equal(b.coded[cols], a.coded[cols], check_exact=True)
+
+
 class TestInputValidation:
     """run_ppq rejects, with a ValueError naming the case, inputs it would
     otherwise fail on deep inside the build or mis-handle silently."""
