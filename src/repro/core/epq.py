@@ -65,7 +65,7 @@ class EPQEngine:
     (zeros if none fitted) and ``codebooks_t`` every per_t/fixed codebook.
     ``remap`` maps a merged-away pid to (target pid, code offset).
     The reconstructed history has one row per trajectory of the build, n
-    in all; ``step`` takes the rows of its points (``Encoder.push`` maps
+    in all; ``step`` takes the rows of its points (``Encoder.rows_of`` maps
     trajectory ids to them).
     """
 

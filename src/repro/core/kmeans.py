@@ -342,10 +342,3 @@ def grow_partition(
         labels[idx] = j
     return labels, np.array(centroids), rounds
 
-
-def max_dist_to_centroid(pts: np.ndarray, centroid: np.ndarray) -> float:
-    """Max Euclidean distance from any point to ``centroid``."""
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    return float(np.sqrt(((pts - centroid) ** 2).sum(axis=1)).max())

@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.kmeans import (
-    centroid,
-    grow_partition,
-    max_dist_to_centroid,
-    sq_dists,
-)
+from repro.core.kmeans import centroid, grow_partition, sq_dists
 
 AR_WINDOW = 16
 """Points of recent raw history an AR(k) feature is fitted over."""
@@ -93,8 +88,10 @@ class IncrementalPartitioner:
     Partition ids are stable integers; merged-away ids are retired and
     never reused, so downstream codebooks keyed by pid keep decoding old
     codes after a merge (see ``repro.core.ppq``). ``_pids[r]`` is the pid
-    of row r's trajectory at its last update, -1 before its first; the
-    rows are the caller's (``Encoder.push`` maps trajectory ids to them).
+    of row r's trajectory at its last update, or the partition that pid
+    has merged into since (so a trajectory back from a gap never carries a
+    retired pid), and -1 before its first; the rows are the caller's
+    (``Encoder.rows_of`` maps trajectory ids to them).
     """
 
     def __init__(self, eps_p: float, n: int, seed: int = 0):
@@ -103,6 +100,10 @@ class IncrementalPartitioner:
         self._pids = np.full(n, -1, dtype=np.int64)
         self._centroids: dict[int, np.ndarray] = {}
         self._next_pid = 0
+        # merge candidates' squared-distance cut: above eps_p**2 by a
+        # relative margin far beyond the rounding of either distance, and
+        # by the smallest normal float for eps_p**2 near or below underflow
+        self._merge_sq = eps_p * eps_p * (1 + 1e-9) + np.finfo(np.float64).tiny
 
     def update(self, rows: np.ndarray, feats: np.ndarray) -> tuple[np.ndarray, UpdateStats]:
         """Assign the points of the distinct ``rows`` active now; returns
@@ -126,56 +127,74 @@ class IncrementalPartitioner:
                 pids[new_idx] = pid
                 self._centroids[pid] = centroid(feats[new_idx])
 
-        # Step 2 -- recompute centroids on current members; re-split any
-        # partition violating eps_p. A split only moves rows to fresh pids,
-        # so the groups taken before the loop stay each pid's members.
+        # Step 2 -- recompute every live partition's centroid on its current
+        # members, and its radius, in one pass over the rows grouped by pid
+        # (each centroid one reduction over its contiguous rows, as
+        # ``centroid`` of that group alone gives); re-split the partitions
+        # violating eps_p. A split only moves rows to fresh pids, so the
+        # groups taken before the loop stay each pid's members.
         values, order, bounds = group_rows(pids)
-        for pid, lo, hi in zip(values.tolist(), bounds[:-1], bounds[1:]):
+        fs = feats[order]
+        lo_hi = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        dim = feats.shape[1]
+        cents = np.array([centroid(fs[lo:hi]) for lo, hi in lo_hi]).reshape(-1, dim)
+        sizes = np.diff(bounds)
+        d2 = ((fs - np.repeat(cents, sizes, axis=0)) ** 2).sum(axis=1)
+        far = np.sqrt(np.maximum.reduceat(d2, bounds[:-1])) > self.eps_p
+        pid_list = values.tolist()
+        self._centroids.update(zip(pid_list, cents))
+        for g in np.flatnonzero(far & (sizes > 1)).tolist():
+            pid, (lo, hi) = pid_list[g], lo_hi[g]
             idxs = order[lo:hi]
-            sub = feats[idxs]
-            cent = centroid(sub)
-            self._centroids[pid] = cent
-            if len(sub) > 1 and max_dist_to_centroid(sub, cent) > self.eps_p:
-                stats.n_resplit_partitions += 1
-                labels, _, _ = grow_partition(sub, self.eps_p, seed=self.seed + pid)
-                # label 0 keeps the original pid; others get fresh pids
-                labs, lorder, lbounds = group_rows(labels)
-                for lab, a, b in zip(labs.tolist(), lbounds[:-1], lbounds[1:]):
-                    sel = idxs[lorder[a:b]]
-                    if lab == 0:
-                        self._centroids[pid] = centroid(feats[sel])
-                        continue
-                    npid = self._alloc()
-                    stats.n_new_partitions += 1
-                    pids[sel] = npid
-                    self._centroids[npid] = centroid(feats[sel])
+            stats.n_resplit_partitions += 1
+            labels, _, _ = grow_partition(fs[lo:hi], self.eps_p, seed=self.seed + pid)
+            # label 0 keeps the original pid; others get fresh pids
+            labs, lorder, lbounds = group_rows(labels)
+            for lab, a, b in zip(labs.tolist(), lbounds[:-1], lbounds[1:]):
+                sel = idxs[lorder[a:b]]
+                if lab == 0:
+                    self._centroids[pid] = centroid(feats[sel])
+                    continue
+                npid = self._alloc()
+                stats.n_new_partitions += 1
+                pids[sel] = npid
+                self._centroids[npid] = centroid(feats[sel])
 
-        # Drop centroids of partitions with no current members? No: keep
-        # them -- dormant trajectories may resume; but they don't merge.
-        live_sorted = np.unique(pids).tolist()
+        # Dormant partitions (no current members) keep their centroids, as
+        # their trajectories may resume, but take no part in merges.
+        live = np.unique(pids).tolist()
 
         # Step 3 -- merge near-duplicate partitions; each target absorbs
         # at most one source per update: it stops at its first merge, and
         # it precedes its sources in pid order, so it is never one itself.
+        # No pair is measured with a merged centroid (a target is never
+        # measured again), so one distance matrix of the centroids before
+        # the merges names the candidates: its margin keeps every pair
+        # that ``np.linalg.norm`` puts within eps_p, and that norm decides.
+        cents = np.array([self._centroids[pid] for pid in live]).reshape(-1, dim)
+        near = np.triu(sq_dists(cents, cents) <= self._merge_sq, 1)
         removed: set[int] = set()
-        for a_i, pa in enumerate(live_sorted):
-            if pa in removed:
+        for a in np.flatnonzero(near.any(axis=1)).tolist():
+            if a in removed:
                 continue
-            for pb in live_sorted[a_i + 1 :]:
-                if pb in removed:
+            for b in np.flatnonzero(near[a]).tolist():
+                if b in removed:
                     continue
-                d = np.linalg.norm(self._centroids[pa] - self._centroids[pb])
-                if d <= self.eps_p:
+                if np.linalg.norm(cents[a] - cents[b]) <= self.eps_p:
+                    pa, pb = live[a], live[b]
                     pids[pids == pb] = pa
-                    removed.add(pb)
+                    removed.add(b)
                     stats.merges.append((pb, pa))
                     self._centroids[pa] = centroid(feats[pids == pa])
                     break
-        for pid in removed:
-            self._centroids.pop(pid, None)
+        for src, _ in stats.merges:
+            del self._centroids[src]
 
         self._pids[rows] = pids
-        stats.q = len(live_sorted) - len(removed)
+        # a trajectory absent now carries its retired pid's target forward
+        for src, dst in stats.merges:
+            self._pids[self._pids == src] = dst
+        stats.q = len(live) - len(removed)
         return pids, stats
 
     def _alloc(self) -> int:

@@ -1,20 +1,33 @@
 """PPQ: partition-wise predictive quantization (paper Section 3.2) and the
 summary object shared by every experiment harness.
 
-``Encoder.push`` runs the online pipeline for one timestep. It maps the
-step's trajectory ids to state rows, the only place that does: the
+``Encoder.push`` runs the online pipeline for one timestep. ``Encoder``
+maps trajectory ids to state rows, the only place that does: the
 history, the partition map and PPQ-A's AR windows are arrays with one row
-per trajectory of the build, which the steps below index by row.
+per trajectory of the build, which the steps below index by row. A step
+has two halves:
 
-  1. compute partition features (spatial position for PPQ-S, fitted AR(k)
-     parameters for PPQ-A) and update the incremental partitioner;
-  2. run one E-PQ step over every partition (own predictor coefficients
-     P_j[t] and own codebook per partition, Eq. 5-6); the engine files the
-     parts it fits and moves merged partitions' codebooks (``EPQEngine``);
-  3. optionally CQC-encode the residual of every point (Section 4).
+  * ``Encoder.assign``: compute partition features (spatial position for
+    PPQ-S, fitted AR(k) parameters of the raw window for PPQ-A) and update
+    the incremental partitioner; it returns each row's pid and the
+    update's stats;
+  * ``Encoder.code``: carry the update's merges into the codebooks, run one
+    E-PQ step over every partition (own predictor coefficients P_j[t] and
+    own codebook per partition, Eq. 5-6; the engine files the parts it
+    fits, ``EPQEngine``), and optionally CQC-encode the residual of every
+    point (Section 4).
 
-``run_ppq`` pushes every timestep in (t, traj_id) order, then rewrites
-merged-away partitions' (pid, code) and assembles the ``Summary``.
+The assign half reads raw points only (Eq. 7/8 and Section 3.2.2 never
+look at a reconstruction), so a build's whole partition sequence is known
+before any of it is coded. ``run_ppq`` pushes every timestep in
+(t, traj_id) order; when the build is partitioned and has at least
+``PIPELINE_MIN_POINTS`` points, on a host with two or more usable CPUs
+that can ``fork``, a forked worker runs the assign half of every timestep
+and streams each step's pids through a pipe, and the calling process codes
+step t as soon as they arrive. Otherwise both halves run in the calling
+process, step by step, as ``Encoder.push`` runs them. Either way the output
+is the same. ``run_ppq`` then rewrites merged-away partitions' (pid, code)
+and assembles the ``Summary``.
 
 Variants of the paper map to arguments:
 
@@ -38,8 +51,14 @@ Each variant runs in one of three codebook modes (``repro.core.epq``):
 """
 from __future__ import annotations
 
+import gc
 import math
+import multiprocessing
+import os
+import pickle
 import time
+import traceback
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +77,21 @@ from repro.core.predictor import DEFAULT_K
 
 AR_EMA = 0.3
 """Weight of the newest AR(k) fit in PPQ-A's smoothed partition features."""
+
+#: Smallest build, in points, whose assign half ``run_ppq`` forks off.
+#: Forking, exiting and reaping the worker costs a fixed 7-9 ms, and the
+#: coding process runs slower beside it (copy-on-write faults on the heap
+#: it shares with the worker). On bench porto and geolife cut to 3-13k
+#: points (20 alternating pairs per size), forking lost or tied below
+#: about 7k points for PPQ-S and porto PPQ-A, was mixed up to 10k and won
+#: at 13k; geolife PPQ-A won from 3k.
+PIPELINE_MIN_POINTS = 10_000
+
+STAGES = ("features", "partition", "code", "wait")
+"""``Summary.stage_seconds`` keys: PPQ-A's AR features and the partitioner
+update (the assign half, timed where it runs), merges + E-PQ step + CQC (the
+code half), and the time the coding process waited for a forked worker's
+pids (0 in-process)."""
 
 
 @dataclass
@@ -92,6 +126,10 @@ class Summary:
     config: dict
     build_seconds: float
     partition_stats: list[UpdateStats] = field(default_factory=list)
+    # seconds per build stage (``STAGES``), summed over the timesteps
+    stage_seconds: dict[str, float] = field(default_factory=dict)
+    # whether a forked worker ran the assign half
+    pipelined: bool = False
     # ``path``'s cache: the sorted frame, its distinct traj_ids, their row
     # offsets (with the row count last) and its t column
     _paths: tuple[pd.DataFrame, np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -224,14 +262,19 @@ def run_ppq(
     xy_all = points[["x", "y"]].to_numpy(dtype=np.float64)[order]
     n = len(ts)
     cuts = np.flatnonzero(np.diff(ts)) + 1
+    spans = list(zip(np.r_[0, cuts].tolist(), np.r_[cuts, n].tolist()))
 
     enc = Encoder(np.unique(traj), seed=seed, **config)
+    rows = enc.rows_of(traj)
+    steps = [(rows[lo:hi], xy_all[lo:hi]) for lo, hi in spans]
     # per-point outputs, in the sorted row order
     pid_out, code_out, cqc_out = (np.empty(n, dtype=np.int64) for _ in range(3))
     recon_out, rec2_out = np.empty((n, 2)), np.empty((n, 2))
-    for lo, hi in zip(np.r_[0, cuts].tolist(), np.r_[cuts, n].tolist()):
-        (pid_out[lo:hi], code_out[lo:hi], recon_out[lo:hi], rec2_out[lo:hi],
-         cqc_out[lo:hi]) = enc.push(int(ts[lo]), traj[lo:hi], xy_all[lo:hi])
+    forked = _forks(mode, n)
+    with _assignments(enc, steps, forked) as assigned:
+        for (lo, hi), (r, xy), a in zip(spans, steps, assigned):
+            (pid_out[lo:hi], code_out[lo:hi], recon_out[lo:hi], rec2_out[lo:hi],
+             cqc_out[lo:hi]) = enc.code(int(ts[lo]), r, xy, a)
     _apply_code_remap(pid_out, code_out, enc.engine.remap)
     coded = pd.DataFrame({
         "traj_id": traj, "t": ts.astype(np.int32), "x": xy_all[:, 0], "y": xy_all[:, 1],
@@ -247,6 +290,8 @@ def run_ppq(
         config=config,
         build_seconds=time.perf_counter() - t_start,
         partition_stats=enc.stats,
+        stage_seconds=enc.seconds,
+        pipelined=forked,
     )
 
 
@@ -255,9 +300,15 @@ class Encoder:
 
     It owns the row map: trajectory ``traj_ids[r]`` (sorted, distinct: every
     trajectory the build will see) has state row r in the partitioner,
-    PPQ-A's feature state and the ``EPQEngine``'s history, and only ``push``
-    maps ids to rows. It also owns the CQC coder (None without CQC) and
-    ``stats``, one ``UpdateStats`` per partitioned push."""
+    PPQ-A's feature state and the ``EPQEngine``'s history, and only
+    ``rows_of`` maps ids to rows. It also owns the CQC coder (None without
+    CQC), ``stats``, one ``UpdateStats`` per partitioned step, and
+    ``seconds``, the time per build stage (``STAGES``).
+
+    A step is two halves: ``assign`` touches the partitioner and PPQ-A's
+    feature state only, ``code`` everything else, so a copy of the encoder
+    in another process can run the assign half of later steps while this
+    one codes (``run_ppq``)."""
 
     def __init__(self, traj_ids: np.ndarray, *, mode, predict, use_cqc, eps1, eps_p,
                  gs, k, seed, codebook_mode, budget):
@@ -274,6 +325,7 @@ class Encoder:
         )
         self.cqc = CQCCoder(eps1, gs) if use_cqc else None
         self.stats: list[UpdateStats] = []
+        self.seconds = dict.fromkeys(STAGES, 0.0)
 
     def push(self, t: int, ids: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, ...]:
         """Encode the points ``xy`` of trajectories ``ids`` at time ``t``.
@@ -286,39 +338,161 @@ class Encoder:
         previous push's."""
         if self.t is not None and t <= self.t:
             raise ValueError(f"t={t} is not after the previous push's t={self.t}")
+        rows = self.rows_of(ids)
+        srt = np.sort(rows)
+        dup = srt[1:] == srt[:-1]
+        if dup.any():
+            raise ValueError(f"trajectory id {self.traj_ids[srt[1:][dup][0]]} pushed twice")
+        self.t = t
+        return self.code(t, rows, xy, self.assign(rows, xy))
+
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """The state rows of trajectory ``ids``; raises ``ValueError`` for an
+        id not in ``traj_ids``."""
         ids = np.asarray(ids)
         rows = np.searchsorted(self.traj_ids, ids)
         known = rows < len(self.traj_ids)
         known[known] = self.traj_ids[rows[known]] == ids[known]
         if not known.all():
             raise ValueError(f"trajectory id {ids[~known][0]} is not in traj_ids")
-        srt = np.sort(rows)
-        dup = srt[1:] == srt[:-1]
-        if dup.any():
-            raise ValueError(f"trajectory id {self.traj_ids[srt[1:][dup][0]]} pushed twice")
-        self.t = t
+        return rows
+
+    def assign(self, rows: np.ndarray, xy: np.ndarray) -> tuple:
+        """The assign half of a step over the distinct ``rows``: returns
+        ``(pids, stats, (features_s, partition_s))``, each row's pid, the
+        partitioner's ``UpdateStats`` (None unpartitioned) and the seconds
+        of the two stages."""
         if self.partitioner is None:
-            pids = np.zeros(len(ids), dtype=np.int64)
-        else:
-            feats = xy if self.ar_state is None else self.ar_state.features(rows)
-            pids, stats = self.partitioner.update(rows, feats)
+            return np.zeros(len(rows), dtype=np.int64), None, (0.0, 0.0)
+        feats, features_s = xy, 0.0
+        if self.ar_state is not None:
+            t0 = time.perf_counter()
+            feats = self.ar_state.features(rows)
+            self.ar_state.push(rows, xy)
+            features_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        pids, stats = self.partitioner.update(rows, feats)
+        return pids, stats, (features_s, time.perf_counter() - t0)
+
+    def code(self, t: int, rows: np.ndarray, xy: np.ndarray, assigned: tuple
+             ) -> tuple[np.ndarray, ...]:
+        """The code half of the step at ``t`` over ``rows``, given what
+        ``assign`` returned for them; returns what ``push`` returns."""
+        t0 = time.perf_counter()
+        pids, stats, (features_s, partition_s) = assigned
+        self.seconds["features"] += features_s
+        self.seconds["partition"] += partition_s
+        if stats is not None:
             self.stats.append(stats)
             self.engine.merge(stats.merges)
         budget = self.budget[t] if isinstance(self.budget, dict) else self.budget
         res = self.engine.step(t, rows, xy, pids, budget=budget)
         if self.cqc is None:
-            cq, rec = np.full(len(ids), -1, dtype=np.int64), res.recon
+            cq, rec = np.full(len(rows), -1, dtype=np.int64), res.recon
         else:
             cq = self.cqc.encode(xy - res.recon)
             rec = self.cqc.correct(res.recon, cq)
-        if self.ar_state is not None:
-            self.ar_state.push(rows, xy)
+        self.seconds["code"] += time.perf_counter() - t0
         return pids, res.codes, res.recon, rec, cq
+
+
+def _forks(mode: str | None, n_points: int) -> bool:
+    """Whether ``run_ppq`` runs the assign half in a forked worker: for a
+    partitioned build of at least ``PIPELINE_MIN_POINTS`` points, on a host
+    where this process may use two or more CPUs and can fork; never from a
+    daemonic process, which ``multiprocessing`` keeps childless. A thread
+    would not do: the interpreter lock runs the two halves in turn. The
+    worker runs none of the caller's other threads, only numpy and this
+    package's code on its copy of the encoder."""
+    return (
+        mode is not None
+        and n_points >= PIPELINE_MIN_POINTS
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+    )
+
+
+@contextmanager
+def _assignments(enc: Encoder, steps: list[tuple[np.ndarray, np.ndarray]], forked: bool):
+    """Yield an iterator of ``enc.assign``'s output for each ``(rows, xy)`` of
+    ``steps``, in order. In-process it runs each step's assign half when it
+    is asked for. Forked, a child process holding a copy of ``enc`` runs
+    them all and sends each through a pipe; the child's exception is raised
+    here in its place, and leaving the block closes the pipe and reaps the
+    child, whether the caller's loop ended or raised."""
+    if not forked:
+        yield (enc.assign(rows, xy) for rows, xy in steps)
+        return
+    import fcntl  # POSIX only, as fork is
+
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    # A pipe that holds a whole build's pids (Linux allows 1 MiB unprivileged)
+    # lets the worker finish and exit instead of staying one buffer ahead:
+    # while it lives, each heap page the coding process writes is copied
+    # first. Bench builds ran 4-7% faster with it.
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        with suppress(OSError):
+            fcntl.fcntl(send.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+    worker = ctx.Process(target=_assign_worker, args=(enc, steps, send), daemon=True)
+    worker.start()
+    send.close()
+    try:
+        yield _received(recv, len(steps), enc.seconds)
+    finally:
+        # a worker still sending fails on the closed pipe and exits
+        recv.close()
+        worker.join(timeout=5)
+        if worker.is_alive():
+            worker.kill()
+            worker.join()
+
+
+def _received(recv, n_steps: int, seconds: dict[str, float]):
+    """The ``n_steps`` assignments a worker sends, raising its exception;
+    the time spent waiting for each goes to ``seconds["wait"]``."""
+    for i in range(n_steps):
+        t0 = time.perf_counter()
+        try:
+            msg = recv.recv()
+        except EOFError:
+            raise RuntimeError(
+                f"the partition-assignment worker ended after {i} of {n_steps} steps"
+            ) from None
+        seconds["wait"] += time.perf_counter() - t0
+        if isinstance(msg, BaseException):
+            raise msg
+        yield msg
+
+
+def _assign_worker(enc: Encoder, steps, send) -> None:
+    """Body of the forked worker: ``enc.assign`` over every step, each
+    result sent as it is made. An exception is sent in place of the next
+    result, with the worker's traceback as a note (and as a ``RuntimeError``
+    naming it if it does not pickle). Collection is off: the worker's own
+    objects die by reference count, and a full collection would touch, and
+    so copy, every page of the heap it shares with its parent."""
+    gc.disable()
+    try:
+        for rows, xy in steps:
+            send.send(enc.assign(rows, xy))
+    except Exception as exc:  # raised again in the parent
+        exc.add_note("in the partition-assignment worker:\n" + traceback.format_exc())
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # any failure to round-trip: send what does
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        with suppress(OSError):  # the parent has stopped listening
+            send.send(exc)
+    finally:
+        send.close()
 
 
 class _ARState:
     """PPQ-A's per-trajectory feature state, one row per trajectory of the
-    build; ``Encoder.push`` maps trajectory ids to the rows it is given.
+    build; ``Encoder.rows_of`` maps trajectory ids to the rows it is given.
 
     Features are lag-k autocorrelations (``ar_features`` over the last
     ``AR_WINDOW`` raw points), EMA-smoothed over time: the AR parameters

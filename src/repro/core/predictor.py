@@ -85,7 +85,7 @@ class History:
 
     Row r of ``_buf`` (shape (n, k, 2), newest first) and ``_count`` is
     the state of one trajectory of the build. The rows are the caller's:
-    ``Encoder.push`` maps trajectory ids to them. Each call takes a batch of
+    ``Encoder.rows_of`` maps trajectory ids to them. Each call takes a batch of
     distinct rows.
     """
 

@@ -2,6 +2,9 @@
 the expensive part of the suite, and they are deterministic in the seed)."""
 from __future__ import annotations
 
+import multiprocessing
+from pathlib import Path
+
 import pytest
 
 from repro.core.ppq import run_ppq
@@ -38,3 +41,36 @@ def ppqs_summary(porto_pts):
 def epq_summary(porto_pts):
     """E-PQ: single partition, no CQC."""
     return run_ppq(porto_pts, mode=None, use_cqc=False, eps1=0.001, seed=0)
+
+
+def _child_pids() -> set[int]:
+    """Pids of this process's children, running or exited but not reaped
+    (every thread's ``children`` list under ``/proc``; where that is
+    missing, the running children ``multiprocessing`` started)."""
+    try:
+        return {
+            int(pid)
+            for task in Path("/proc/self/task").iterdir()
+            for pid in (task / "children").read_text().split()
+        }
+    except OSError:
+        return {p.pid for p in multiprocessing.active_children()}
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind (``run_ppq`` forks a
+    worker for large builds and must reap it, whether it returns or
+    raises). Children alive before the test, such as a session's Spark
+    JVM, are not its own."""
+    before = _child_pids()
+    yield
+    left = _child_pids() - before
+    if left:
+        pytest.fail(f"child processes left behind: {sorted(left)}")
+
+
+@pytest.fixture
+def child_pids():
+    """The function listing this process's unreaped children."""
+    return _child_pids

@@ -13,9 +13,13 @@ from repro.core.kmeans import (
     first_draw,
     grow_partition,
     kmeans,
-    max_dist_to_centroid,
     sq_dists,
 )
+
+
+def max_dist_to_centroid(pts, cent):
+    """Largest Euclidean distance from a row of ``pts`` to ``cent``."""
+    return float(np.sqrt(((pts - cent) ** 2).sum(axis=1)).max())
 
 
 def _blob_data(seed=0, n=200, k=4, spread=0.05):
@@ -487,15 +491,6 @@ class TestKernels:
 def _labels(pts, cents):
     d = ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
     return d.argmin(axis=1)
-
-
-class TestMaxDist:
-    def test_zero_for_single(self):
-        assert max_dist_to_centroid(np.array([[1.0, 1.0]]), np.array([1.0, 1.0])) == 0
-
-    def test_known_value(self):
-        pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert max_dist_to_centroid(pts, np.array([0.0, 0.0])) == pytest.approx(5.0)
 
 
 #: Draw bounds of the ``first_draw`` oracle: the splits' cluster sizes,

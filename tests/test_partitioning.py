@@ -2,13 +2,19 @@
 import numpy as np
 import pytest
 
-from repro.core.kmeans import max_dist_to_centroid
+from repro.core.kmeans import centroid, grow_partition, sq_dists
 from repro.core.partitioning import (
     AR_WINDOW,
     IncrementalPartitioner,
+    UpdateStats,
     ar_features,
     group_rows,
 )
+
+
+def max_dist_to_centroid(pts, cent):
+    """Largest Euclidean distance from a row of ``pts`` to ``cent``."""
+    return float(np.sqrt(((pts - cent) ** 2).sum(axis=1)).max())
 
 
 def _ar_features_loop(raw_hist, k, ridge=1e-10):
@@ -256,6 +262,15 @@ class TestIncrementalPartitioner:
         pids2, s2 = p.update(rows[:40], feats[:40])  # blob 2 goes dormant
         assert s2.q == len(np.unique(pids2)) == 1
 
+    def test_update_with_no_rows(self):
+        rows, feats = _two_blobs(d=10.0)
+        p = IncrementalPartitioner(1.0, len(rows), 0)
+        pids1, _ = p.update(rows, feats)
+        pids, s = p.update(rows[:0], feats[:0])
+        assert len(pids) == 0 and s.q == 0 and s.merges == []
+        pids2, _ = p.update(rows, feats)
+        assert np.array_equal(pids1, pids2)
+
     def test_merge_events_recorded(self):
         rows, feats = _two_blobs(d=100.0)
         p = IncrementalPartitioner(1.0, len(rows), 0)
@@ -268,3 +283,153 @@ class TestIncrementalPartitioner:
         src, dst = s2.merges[0]
         assert src != dst
         assert dst in pids2 and src not in pids2
+
+    def test_absent_trajectory_follows_a_merge(self):
+        """A trajectory absent while its partition merges away comes back
+        in the merge target, never in the retired pid."""
+        rows, feats = _two_blobs(d=100.0)
+        p = IncrementalPartitioner(1.0, len(rows), 0)
+        pids1, _ = p.update(rows, feats)
+        feats2 = feats.copy()
+        feats2[40:] -= 100.0
+        _, s2 = p.update(rows[1:], feats2[1:])  # row 0 is absent
+        [(src, dst)] = s2.merges
+        assert pids1[0] in (src, dst)
+        pids3, s3 = p.update(rows, feats2)
+        assert pids3[0] == dst and src not in pids3
+        assert s3.n_carried == len(rows)
+
+
+def _update_loop(p: IncrementalPartitioner, rows, feats):
+    """Reference for ``IncrementalPartitioner.update``: each partition's
+    centroid and radius on its own, and every later live pair measured by
+    ``np.linalg.norm`` in the merge scan."""
+    feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
+    pids = p._pids[rows]
+    stats = UpdateStats(n_points=len(pids))
+    known = pids >= 0
+    stats.n_carried = int(known.sum())
+    new_idx = np.flatnonzero(~known)
+    if len(new_idx):
+        if p._centroids:
+            cents = np.vstack(list(p._centroids.values()))
+            keys = np.fromiter(p._centroids.keys(), dtype=np.int64)
+            pids[new_idx] = keys[sq_dists(feats[new_idx], cents).argmin(axis=1)]
+        else:
+            pid = p._alloc()
+            pids[new_idx] = pid
+            p._centroids[pid] = centroid(feats[new_idx])
+    values, order, bounds = group_rows(pids)
+    for pid, lo, hi in zip(values.tolist(), bounds[:-1], bounds[1:]):
+        idxs = order[lo:hi]
+        sub = feats[idxs]
+        cent = centroid(sub)
+        p._centroids[pid] = cent
+        if len(sub) > 1 and max_dist_to_centroid(sub, cent) > p.eps_p:
+            stats.n_resplit_partitions += 1
+            labels, _, _ = grow_partition(sub, p.eps_p, seed=p.seed + pid)
+            labs, lorder, lbounds = group_rows(labels)
+            for lab, a, b in zip(labs.tolist(), lbounds[:-1], lbounds[1:]):
+                sel = idxs[lorder[a:b]]
+                if lab == 0:
+                    p._centroids[pid] = centroid(feats[sel])
+                    continue
+                npid = p._alloc()
+                stats.n_new_partitions += 1
+                pids[sel] = npid
+                p._centroids[npid] = centroid(feats[sel])
+    live = np.unique(pids).tolist()
+    removed = set()
+    for i, pa in enumerate(live):
+        if pa in removed:
+            continue
+        for pb in live[i + 1:]:
+            if pb in removed:
+                continue
+            if np.linalg.norm(p._centroids[pa] - p._centroids[pb]) <= p.eps_p:
+                pids[pids == pb] = pa
+                removed.add(pb)
+                stats.merges.append((pb, pa))
+                p._centroids[pa] = centroid(feats[pids == pa])
+                break
+    for pid in removed:
+        del p._centroids[pid]
+    p._pids[rows] = pids
+    for src, dst in stats.merges:
+        p._pids[p._pids == src] = dst
+    stats.q = len(live) - len(removed)
+    return pids, stats
+
+
+class TestUpdateMatchesLoop:
+    """``update`` equals the per-partition loop bit for bit: pids, stats,
+    the carried pid of every row and every centroid, in dict order."""
+
+    @staticmethod
+    def _merges(n, steps, eps_p) -> int:
+        """Run both over ``steps`` of (rows, feats) of ``n`` trajectories,
+        comparing after each; returns the merges made."""
+        fast, slow = (IncrementalPartitioner(eps_p, n, 3) for _ in range(2))
+        merges = 0
+        for rows, feats in steps:
+            pf, sf = fast.update(rows, feats)
+            ps, ss = _update_loop(slow, rows, feats)
+            assert np.array_equal(pf, ps) and sf == ss
+            assert np.array_equal(fast._pids, slow._pids)
+            assert list(fast._centroids) == list(slow._centroids)
+            assert all(np.array_equal(fast._centroids[k], slow._centroids[k])
+                       for k in slow._centroids)
+            merges += sf.n_merges
+        return merges
+
+    @staticmethod
+    def _steps(g, n, dim, n_steps, draw):
+        """Features of ``n`` drifting trajectories, each step a random subset
+        of them (so some are absent while partitions merge)."""
+        base = draw((n, dim))
+        steps = []
+        for _ in range(n_steps):
+            base = base + draw((n, dim)) * 0.5
+            rows = np.flatnonzero(g.random(n) < 0.8)
+            steps.append((rows, base[rows]))
+        return steps
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_drift(self, dim, seed):
+        g = np.random.default_rng(seed)
+        steps = self._steps(g, 60, dim, 12, lambda s: g.normal(0, 1, s))
+        assert self._merges(60, steps, eps_p=0.8) > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_grid_points_at_exactly_eps_p(self, seed):
+        """Features on a grid of step eps_p: many centroid pairs lie at
+        exactly eps_p, where ``np.linalg.norm`` accepts the merge."""
+        g = np.random.default_rng(seed)
+        steps = self._steps(g, 40, 2, 10, lambda s: g.integers(-3, 4, s) * 0.25)
+        assert self._merges(40, steps, eps_p=0.25) > 0
+
+    def test_pair_whose_summed_squares_exceed_eps_p_squared(self):
+        """Two partitions whose centroids ``np.linalg.norm`` puts at exactly
+        eps_p, while their summed squared differences round above eps_p**2,
+        still merge."""
+        g = np.random.default_rng(0)
+        while True:
+            a, b = g.normal(0, 1, (2, 2))
+            eps_p = np.linalg.norm(a - b)
+            if sq_dists(a[None], b[None])[0, 0] > eps_p * eps_p:
+                break
+        rows = np.arange(2)
+        steps = [(rows, np.array([a, b + 100.0])), (rows, np.array([a, b]))]
+        assert self._merges(2, steps, eps_p) == 1
+
+    @pytest.mark.parametrize("scale,eps_p", [
+        (1.0, 0.0),          # only coincident centroids merge
+        (1e-160, 1e-160),    # eps_p ** 2 is subnormal
+        (1e-170, 3e-170),    # eps_p ** 2 underflows to 0
+        (1e150, 1e150),      # large squares, far from underflow
+    ])
+    def test_extreme_scales(self, scale, eps_p):
+        g = np.random.default_rng(7)
+        steps = self._steps(g, 30, 2, 8, lambda s: g.integers(-2, 3, s) * scale)
+        self._merges(30, steps, eps_p=eps_p)
