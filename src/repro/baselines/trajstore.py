@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.kmeans import grow_partition, kmeans
+from repro.core.kmeans import kmeans
+from repro.core.quantizer import IncrementalQuantizer
 
 
 @dataclass
@@ -137,8 +138,10 @@ class TrajStore:
         for li, lf in enumerate(leaves):
             pts = np.vstack(lf.pts)
             if eps is not None:
-                labels, cents, _ = grow_partition(pts, eps, seed=self.seed + li)
-                v = len(np.unique(labels))
+                # one fresh error-bounded codebook per cell
+                q = IncrementalQuantizer(eps, seed=self.seed + li)
+                labels = q.quantize(pts)
+                cents, v = q.codebook, len(q)
             else:
                 v = max(1, int(round(total_codewords * len(lf.ids) / n_total)))
                 labels, cents = kmeans(pts, v, seed=self.seed + li)

@@ -128,22 +128,19 @@ class CQCCoder:
         n = 2 * m + 1
         tree = CoordinateQuadtree(n, n)
         enc = np.empty((n, n), dtype=np.int64)
-        dec_x = np.empty(4**tree.depth, dtype=np.int64)
-        dec_y = np.empty(4**tree.depth, dtype=np.int64)
-        dec_x[:] = 0
-        dec_y[:] = 0
+        # code -> grid offset (dx, dy) of its cell; padding codes decode to 0
+        dec = np.zeros((4**tree.depth, 2), dtype=np.int64)
         for iy in range(n):
             for ix in range(n):
                 c = tree.encode(ix, iy)
                 enc[iy, ix] = c
-                dec_x[c] = ix - m
-                dec_y[c] = iy - m
+                dec[c] = ix - m, iy - m
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "_enc", enc)
-        object.__setattr__(self, "_dec_x", dec_x)
-        object.__setattr__(self, "_dec_y", dec_y)
+        # code -> decoded residual (dx, dy), multiples of gs
+        object.__setattr__(self, "_dec", dec * self.gs)
 
     @property
     def code_bits(self) -> int:
@@ -158,16 +155,16 @@ class CQCCoder:
         grid.
         """
         d = np.atleast_2d(np.asarray(d, dtype=np.float64))
-        jx = np.clip(np.rint(d[:, 0] / self.gs).astype(np.int64), -self.m, self.m)
-        jy = np.clip(np.rint(d[:, 1] / self.gs).astype(np.int64), -self.m, self.m)
-        return self._enc[jy + self.m, jx + self.m]
+        # grid cell (column, row) of each residual, offset to [0, 2m]
+        j = np.rint(d / self.gs)
+        j += self.m
+        np.clip(j, 0, 2 * self.m, out=j)
+        j = j.astype(np.int64)
+        return self._enc[j[:, 1], j[:, 0]]
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """Decode codes -> quantized residuals (n, 2), multiples of gs."""
-        codes = np.asarray(codes, dtype=np.int64)
-        return np.column_stack(
-            [self._dec_x[codes] * self.gs, self._dec_y[codes] * self.gs]
-        )
+        return self._dec[np.asarray(codes, dtype=np.int64)]
 
     def correct(self, recon: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Eq. 11: corrected reconstruction = recon + decoded residual."""

@@ -7,12 +7,21 @@ partition's prediction errors with its own codebook (Eq. 6), reconstruct,
 and push the reconstructions back into the history (Alg. 1 lines 3-7).
 Section 3.2 makes only the fit and the codebook per partition, so the
 history is read and written once per step over all rows, and the
-partitions' normal equations go into one stacked solve. The paper's E-PQ
-baseline is ``run_ppq(mode=None)``: every row in partition 0. The engine
-keeps the stored parts: it files what a step fits -- each partition's
-coefficients and, outside global mode, its codebook for the step -- under
-(partition, t) in ``coeffs`` and ``codebooks_t``, and ``merge`` moves a
-merged-away partition's global codebook into its target's.
+partitions' normal equations go into one stacked solve. In the
+error-bounded modes one codeword search covers every partition's rows
+(``quantize_each``): partitions are taken in descending codebook size and
+packed into blocks, each block padding its codebooks to its largest with
+``+inf`` codewords while the padding stays within
+``quantizer.BLOCK_PAD_CELLS`` (4,096 cells, chosen by replaying the search
+over recorded bench steps), so a step makes about one distance matrix
+instead of one per partition, with the same codes. Only a partition with a
+point beyond eps1 grows its codebook, and one gather over all rows reads
+the codewords. The paper's E-PQ baseline is ``run_ppq(mode=None)``: every
+row in partition 0. The engine keeps the stored parts: it files what a
+step fits -- each partition's coefficients and, outside global mode, its
+codebook for the step -- under (partition, t) in ``coeffs`` and
+``codebooks_t``, and ``merge`` moves a merged-away partition's global
+codebook into its target's.
 
 Codebook modes:
   * ``global``  -- one incremental error-bounded codebook per partition
@@ -43,7 +52,7 @@ from repro.core.predictor import (
     normal_equations,
     predict,
 )
-from repro.core.quantizer import IncrementalQuantizer, nearest
+from repro.core.quantizer import IncrementalQuantizer, nearest, quantize_each
 
 
 @dataclass
@@ -130,27 +139,32 @@ class EPQEngine:
         # are the slice [bounds[j]:bounds[j + 1]) of the grouped arrays
         uniq, order, bounds = group_rows(np.asarray(pids))
         rows, pts = rows[order], pts[order]
+        counts = bounds[1:] - bounds[:-1]
         pred = np.zeros((n, 2))
         coeffs = np.zeros((len(uniq), self.k))
         if self.predict_enabled:
             hist = self.history.matrix(rows)
             warm = self.history.warm_ids(rows)
-            # Ramp-up: a trajectory with some but fewer than k
-            # reconstructions is predicted by its last reconstruction (a
-            # random-walk predictor). Only a trajectory's very first point
-            # is coded against prediction zero, its history row being
-            # zero; without this, every new partition would pay full
-            # raw-coordinate codebook coverage for its cold points (see
-            # DESIGN.md).
-            pred[~warm] = hist[~warm, 0]
-            w = np.flatnonzero(warm)
-            if len(w):
+            if warm.all():
+                # every partition is fitted over all its rows
+                w, hw, cur, wb, fitted, gb = slice(None), hist, pts, bounds, slice(None), bounds
+            else:
+                # Ramp-up: a trajectory with some but fewer than k
+                # reconstructions is predicted by its last reconstruction
+                # (a random-walk predictor). Only a trajectory's very first
+                # point is coded against prediction zero, its history row
+                # being zero; without this, every new partition would pay
+                # full raw-coordinate codebook coverage for its cold points
+                # (see DESIGN.md).
+                pred[~warm] = hist[~warm, 0]
+                w = np.flatnonzero(warm)
                 hw, cur = hist[w], pts[w]
                 # partition j's warm rows are hw[wb[j]:wb[j + 1]]; gb holds
                 # those bounds for the partitions with warm rows only
                 wb = np.searchsorted(w, bounds)
-                fitted = np.flatnonzero(np.diff(wb))
+                fitted = np.flatnonzero(wb[1:] > wb[:-1])
                 gb = np.append(wb[fitted], len(w))
+            if len(hw):
                 ata, atb = normal_equations(hw, cur, gb)
                 try:
                     # LAPACK solves each stacked system on its own, so this
@@ -161,40 +175,55 @@ class EPQEngine:
                         fit_coeffs(hw[lo:hi], cur[lo:hi])
                         for lo, hi in zip(gb[:-1], gb[1:])
                     ]
-                pred[w] = predict(hw, np.repeat(coeffs, np.diff(wb), axis=0))
+                pred[w] = predict(hw, np.repeat(coeffs, wb[1:] - wb[:-1], axis=0))
         errs = pts - pred
 
-        codes = np.empty(n, dtype=np.int64)
-        words = np.empty((n, 2))
-        shares = _split_budget(budget, uniq, np.diff(bounds))
-        for pid, a, b in zip(uniq.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-            e = errs[a:b]
-            seed = self.seed + 7919 * (pid + 1)
+        pid_list = uniq.tolist()
+        if self.codebook_mode == "fixed":
+            codes = np.empty(n, dtype=np.int64)
+            cbs = []
+            shares = _split_budget(budget, uniq, counts)
+            for pid, a, b in zip(pid_list, bounds[:-1].tolist(), bounds[1:].tolist()):
+                e = errs[a:b]
+                seed = self.seed + 7919 * (pid + 1) + t
+                if self.predict_enabled:
+                    codes[a:b], cb = kmeans(e, shares[pid], seed=seed)
+                else:
+                    # Without prediction this is Q-trajectory, an online
+                    # quantizer that cannot iterate over the data:
+                    # single-pass codebook, picked farthest-first from the
+                    # batch, no Lloyd refinement.
+                    cb = farthest_first(e, max(1, min(shares[pid], b - a)), seed)
+                    codes[a:b], _ = nearest(cb, e)
+                cbs.append(cb)
+        else:
             if self.codebook_mode == "global":
-                q = self.quantizers.get(pid)
-                if q is None:
-                    q = self.quantizers[pid] = IncrementalQuantizer(self.eps1, seed=seed)
-                codes[a:b] = q.quantize(e)
-                cb = q.codebook
-            elif self.codebook_mode == "per_t":
-                q = IncrementalQuantizer(self.eps1, seed=seed + t)
-                codes[a:b] = q.quantize(e)
-                cb = q.codebook
-            elif self.predict_enabled:  # fixed
-                codes[a:b], cb = kmeans(e, shares[pid], seed=seed + t)
+                qs = []
+                for pid in pid_list:
+                    q = self.quantizers.get(pid)
+                    if q is None:
+                        q = self.quantizers[pid] = IncrementalQuantizer(
+                            self.eps1, seed=self.seed + 7919 * (pid + 1)
+                        )
+                    qs.append(q)
             else:
-                # Without prediction this is Q-trajectory, an online quantizer
-                # that cannot iterate over the data: single-pass codebook,
-                # picked farthest-first from the batch, no Lloyd refinement.
-                cb = farthest_first(e, max(1, min(shares[pid], b - a)), seed + t)
-                codes[a:b], _ = nearest(cb, e)
-            if self.codebook_mode != "global":
+                qs = [
+                    IncrementalQuantizer(self.eps1, seed=self.seed + 7919 * (pid + 1) + t)
+                    for pid in pid_list
+                ]
+            codes = quantize_each(qs, errs, bounds)
+            cbs = [q.codebook for q in qs]
+        if self.codebook_mode != "global":
+            for pid, cb in zip(pid_list, cbs):
                 self.codebooks_t[(pid, t)] = cb
-            words[a:b] = cb[codes[a:b]]
-        recon = pred + words
+        # one gather of every row's codeword from the step's codebooks laid
+        # end to end in pid order (none in an empty step)
+        sizes = [len(cb) for cb in cbs]
+        first = np.repeat(np.cumsum(sizes, dtype=np.int64) - sizes, counts)
+        recon = pred + (np.concatenate(cbs)[first + codes] if cbs else 0.0)
 
         self.history.push(rows, recon)
-        for pid, c in zip(uniq.tolist(), coeffs):
+        for pid, c in zip(pid_list, coeffs):
             self.coeffs[(pid, t)] = c
         back = np.empty(n, dtype=np.intp)
         back[order] = np.arange(n)

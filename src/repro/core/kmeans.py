@@ -71,7 +71,9 @@ def first_draw(seed: int, n: int) -> int:
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances (len(a), len(b)) between rows of a and b.
+    """Squared Euclidean distances (len(a), m) between the rows of ``a``
+    and the m rows of ``b``: of one (m, d) array for every row of ``a``, or
+    of an (len(a), m, d) array holding its own m rows per row of ``a``.
 
     Adds one coordinate's squared difference at a time instead of reducing
     an (n, m, d) temporary. Bit-identical to
@@ -79,9 +81,11 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     where numpy sums the terms left to right. The builds pass one or two
     (points, or PPQ-A's default k = 2 AR features).
     """
-    d2 = (a[:, None, 0] - b[None, :, 0]) ** 2
+    d2 = a[:, None, 0] - b[..., 0]
+    np.square(d2, out=d2)
     for c in range(1, a.shape[1]):
-        d2 += (a[:, None, c] - b[None, :, c]) ** 2
+        t = a[:, None, c] - b[..., c]
+        d2 += np.square(t, out=t)
     return d2
 
 

@@ -617,13 +617,18 @@ def _apply_code_remap(
     pid_arr: np.ndarray, code_arr: np.ndarray, remap: dict[int, tuple[int, int]]
 ) -> None:
     """Rewrite (pid, code) of merged-away partitions to their merge target
-    (following chains), in place. Global-codebook mode only. A chain ends
-    at a pid that is no source, so no rewritten row is matched again."""
+    (following chains), in place. Global-codebook mode only. Each chain is
+    resolved once, to the pid at its end, which is no source, and the sum
+    of its offsets; then one gather per column rewrites every row."""
+    if not remap:
+        return
+    size = max(int(pid_arr.max(initial=0)), max(remap)) + 1
+    dst_of, off_of = np.arange(size), np.zeros(size, dtype=np.int64)
     for src in remap:
         dst, off = src, 0
         while dst in remap:
             dst, o = remap[dst]
             off += o
-        m = pid_arr == src
-        code_arr[m] += off
-        pid_arr[m] = dst
+        dst_of[src], off_of[src] = dst, off
+    code_arr += off_of[pid_arr]
+    pid_arr[:] = dst_of[pid_arr]

@@ -145,3 +145,72 @@ class TestCQCCoder:
         dd = coder.decode(coder.encode(d))
         err = np.sqrt(((d - dd) ** 2).sum(axis=1))
         assert err.max() <= (math.sqrt(2) / 2) * coder.gs * (1 + 1e-9)
+
+
+def _per_axis_coder(coder):
+    """Encode and correct as the coder computed them before its tables
+    were merged: each axis rounded, cast and clipped on its own, and each
+    decoded displacement multiplied out per call. Tables from ``tree``."""
+    m, n = coder.m, coder.n
+    enc = np.empty((n, n), dtype=np.int64)
+    dec_x = np.zeros(4**coder.tree.depth, dtype=np.int64)
+    dec_y = np.zeros(4**coder.tree.depth, dtype=np.int64)
+    for iy in range(n):
+        for ix in range(n):
+            c = coder.tree.encode(ix, iy)
+            enc[iy, ix], dec_x[c], dec_y[c] = c, ix - m, iy - m
+
+    def encode(d):
+        jx = np.clip(np.rint(d[:, 0] / coder.gs).astype(np.int64), -m, m)
+        jy = np.clip(np.rint(d[:, 1] / coder.gs).astype(np.int64), -m, m)
+        return enc[jy + m, jx + m]
+
+    def correct(recon, codes):
+        return recon + np.column_stack([dec_x[codes] * coder.gs, dec_y[codes] * coder.gs])
+
+    return encode, correct
+
+
+class TestCQCMatchesPerAxisCoding:
+    """``encode`` and ``correct`` give the codes and corrected points of
+    the per-axis coder bit for bit, for residuals whose cell index fits an
+    int64 (past it, a per-axis cast wrapped around)."""
+
+    @staticmethod
+    def _check(coder, d, recon):
+        encode, correct = _per_axis_coder(coder)
+        codes = coder.encode(d)
+        assert codes.tolist() == encode(d).tolist()
+        got, want = coder.correct(recon, codes), correct(recon, codes)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("eps1,gs", [(0.001, 0.00045), (0.6, 0.25), (0.01, 0.004)])
+    def test_random_residuals_and_recon(self, eps1, gs):
+        g = np.random.default_rng(4)
+        d = g.normal(0, eps1, (400, 2))
+        recon = np.array([116.3, 39.9]) + g.normal(0, 0.01, (400, 2))
+        self._check(CQCCoder(eps1, gs), d, recon)
+
+    def test_half_cell_boundaries_round_half_even(self):
+        """With gs a power of two, d / gs is exactly k + 0.5: both round
+        to the even neighbour."""
+        coder = CQCCoder(0.6, 0.25)
+        k = np.arange(-4, 4) + 0.5
+        d = np.column_stack([k, k[::-1]]) * coder.gs
+        assert (np.rint(d / coder.gs) % 2 == 0).all()
+        self._check(coder, d, np.zeros_like(d))
+
+    def test_past_the_clip_range(self):
+        coder = CQCCoder(0.001, 0.00045)
+        far = np.array([coder.m + 1, 10.0, 1e6, 1e15, 2.0**62])
+        d = np.column_stack([np.r_[far, -far], np.r_[-far, far]]) * coder.gs
+        self._check(coder, d, np.full_like(d, 3.0))
+        cells = {coder._enc[0, 0], coder._enc[0, -1], coder._enc[-1, 0], coder._enc[-1, -1]}
+        assert set(coder.encode(d).tolist()) <= cells
+
+    def test_negative_zero(self):
+        coder = CQCCoder(0.001, 0.00045)
+        d = np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [-1e-300, 1e-300]])
+        recon = np.array([[-0.0, -0.0], [1.0, -0.0], [-0.0, 2.0], [-0.0, -0.0]])
+        self._check(coder, d, recon)
+        assert set(coder.encode(d).tolist()) == {coder._enc[coder.m, coder.m]}

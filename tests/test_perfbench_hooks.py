@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import ppq
+from repro.core import epq, ppq
 from repro.core.partitioning import AR_WINDOW
 from repro.harness.config import QUICK
 from repro.index.tpi import TPI
@@ -50,11 +50,22 @@ def test_traced_ppqa_build_reaches_the_layers(tracing, porto_pts):
     assert [owner.__dict__[attr] for owner, attr, _ in patches] == originals
 
 
-def test_traced_ppqs_build_counts_one_step_per_timestep(tracing, geolife_pts):
+def test_traced_ppqs_build_counts_one_step_per_timestep(tracing, geolife_pts, monkeypatch):
     """Under the wrappers a PPQ-S build runs one partitioner update, one
     ``EPQEngine.step`` and three history calls (``warm_ids``, ``matrix``,
-    ``push``) per timestep, and one quantize per partition live at that
-    timestep, so the traced counters count exactly that."""
+    ``push``) per timestep, so the traced counters count exactly that. Each
+    step quantizes its partitions in one ``quantize_each`` call over every
+    partition live at that timestep, and never through
+    ``IncrementalQuantizer.quantize``, so the traced quantize layer stays
+    empty."""
+    groups = []
+    quantize_each = epq.quantize_each
+
+    def counted(quantizers, errs, bounds):
+        groups.append(len(quantizers))
+        return quantize_each(quantizers, errs, bounds)
+
+    monkeypatch.setattr(epq, "quantize_each", counted)
     patches = tracing.layer_patches(False)
     tracer = tracing.Tracer()
     with tracing.installed(tracer, patches):
@@ -67,7 +78,8 @@ def test_traced_ppqs_build_counts_one_step_per_timestep(tracing, geolife_pts):
     assert calls["core.partitioning.update"] == n_steps
     assert calls["core.epq.step"] == n_steps
     assert calls["core.predictor.history"] == 3 * n_steps
-    assert calls["core.quantizer.quantize"] == live
+    assert groups == [st.q for st in s.partition_stats]
+    assert calls.get("core.quantizer.quantize", 0) == 0
 
 
 def test_traced_tpi_replay_reaches_the_index_layers(tracing, porto_pts):

@@ -185,6 +185,40 @@ class TestMergeRemap:
         assert pid.tolist() == [1, 1, 1, 4, 1, 1]
         assert code.tolist() == [0, 1 + 7, 2 + 12, 3, 4 + 7, 5 + 12]
 
+    @staticmethod
+    def _remap_per_source(pid_arr, code_arr, remap):
+        """The remap as one scan of all rows per merged-away pid."""
+        for src in remap:
+            dst, off = src, 0
+            while dst in remap:
+                dst, o = remap[dst]
+                off += o
+            m = pid_arr == src
+            code_arr[m] += off
+            pid_arr[m] = dst
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_one_scan_per_source(self, seed):
+        """Random merge sequences, each into a lower live pid, so targets
+        are often merged away later; some rows hold pids no merge touched,
+        some sources hold no rows, and some pids lie past every source."""
+        g = np.random.default_rng(seed)
+        n_pids = int(g.integers(2, 60))
+        live, remap = list(range(n_pids)), {}
+        for _ in range(int(g.integers(0, len(live)))):
+            src = live[int(g.integers(1, len(live)))]
+            dst = live[int(g.integers(0, live.index(src)))]
+            remap[src] = (dst, int(g.integers(0, 500)))
+            live.remove(src)
+        pid = g.integers(0, n_pids + int(g.integers(0, 5)), int(g.integers(0, 400)))
+        code = g.integers(0, 1000, len(pid))
+        want_pid, want_code = pid.copy(), code.copy()
+        self._remap_per_source(want_pid, want_code, remap)
+        _apply_code_remap(pid, code, remap)
+        assert pid.tolist() == want_pid.tolist()
+        assert code.tolist() == want_code.tolist()
+        assert not set(pid.tolist()) & set(remap)
+
     def test_push_returns_the_pid_that_keys_its_coefficients(self, porto_pts):
         """``Encoder.push`` returns each row's pid from before the remap:
         the set of a step's pids is the set of its coefficient keys, and the

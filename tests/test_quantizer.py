@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kmeans import farthest_first, grow_partition, kmeans
-from repro.core.quantizer import IncrementalQuantizer, nearest
+from repro.core import quantizer
+from repro.core.quantizer import IncrementalQuantizer, nearest, nearest_each, quantize_each
 
 
 class TestNearest:
@@ -230,6 +231,185 @@ class TestIncrementalQuantizerMatchesList:
         new, old = IncrementalQuantizer(1e-9), _ListQuantizer(1e-9)
         assert np.array_equal(new.quantize(batch), old.quantize(batch))
         assert np.array_equal(new.codebook, old.codebook)
+
+
+def _groups(sizes, counts, g, scale=1.0, dim=2):
+    """Codebooks of the given sizes and points, ``counts[j]`` of them for
+    codebook j, laid end to end; returns (codebooks, points, bounds)."""
+    cbs = [g.normal(0, scale, (v, dim)) for v in sizes]
+    pts = g.normal(0, scale, (sum(counts), dim))
+    return cbs, pts, np.r_[0, np.cumsum(counts)]
+
+
+class TestNearestEachMatchesOneSearchPerCodebook:
+    """One blocked search over several codebooks gives, bit for bit, the
+    codes and distances of one search per codebook (``_nearest_3d``, the
+    earlier ``nearest``); a row of an empty codebook gets code 0 and
+    distance inf."""
+
+    @staticmethod
+    def _check(cbs, pts, bounds):
+        codes, dists = nearest_each(cbs, pts, bounds)
+        for j, cb in enumerate(cbs):
+            lo, hi = bounds[j], bounds[j + 1]
+            if len(cb):
+                want = _nearest_3d(cb, pts[lo:hi])
+            else:
+                want = (np.zeros(hi - lo, dtype=np.int64), np.full(hi - lo, np.inf))
+            assert np.array_equal(codes[lo:hi], want[0])
+            assert dists[lo:hi].view(np.int64).tolist() == want[1].view(np.int64).tolist()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_random(self, seed, dim):
+        g = np.random.default_rng(seed)
+        m = int(g.integers(1, 12))
+        sizes = g.integers(0, 90, m).tolist()
+        counts = g.integers(1, 40, m).tolist()
+        self._check(*_groups(sizes, counts, g, dim=dim))
+
+    def test_ties_and_duplicate_codewords(self):
+        """Points on codewords that repeat, and on midpoints between two
+        codewords: the first of equal minima wins in every group."""
+        g = np.random.default_rng(7)
+        base = np.round(g.normal(0, 1, (5, 2)), 1)
+        cbs = [np.vstack([base, base[::-1], base]), base[::-1].copy(), base[:2].copy()]
+        mid = (base[0] + base[1]) / 2
+        groups = [np.vstack([base, mid]), np.vstack([mid, base[3]]), np.vstack([mid, mid])]
+        bounds = np.r_[0, np.cumsum([len(x) for x in groups])]
+        self._check(cbs, np.vstack(groups), bounds)
+        codes, _ = nearest_each(cbs, np.vstack(groups), bounds)
+        assert codes[:5].tolist() == [0, 1, 2, 3, 4]
+
+    def test_distance_exactly_eps_is_within_the_bound(self):
+        """A point exactly eps from its nearest codeword keeps it; one a
+        float step further grows a codeword, in either path."""
+        eps = 0.25
+        cbs = [np.array([[0.5, 0.0], [4.0, 4.0]]), np.array([[-1.0, 2.0]])]
+        pts = np.array([[0.75, 0.0], [0.5, -0.25], [np.nextafter(0.75, 1), 0.0],
+                        [-1.0, 2.25], [-1.0, np.nextafter(2.25, 3)]])
+        bounds = np.array([0, 3, 5])
+        self._check(cbs, pts, bounds)
+        _, dists = nearest_each(cbs, pts, bounds)
+        assert (dists > eps).tolist() == [False, False, True, False, True]
+        new = [IncrementalQuantizer(eps, seed=1), IncrementalQuantizer(eps, seed=2)]
+        old = [_ListQuantizer(eps, seed=1), _ListQuantizer(eps, seed=2)]
+        for q, o, cb in zip(new, old, cbs):
+            q.codebook, o._codewords = cb.copy(), list(cb)
+        _check_quantize_each(new, old, pts, bounds)
+        assert [len(q) for q in new] == [3, 2]
+
+    def test_empty_codebooks_between_others(self):
+        g = np.random.default_rng(8)
+        self._check(*_groups([0, 12, 0, 0, 3, 0], [4, 9, 1, 7, 5, 2], g))
+
+    def test_huge_codebook_beside_many_small_splits_blocks(self, monkeypatch):
+        """One large codebook searches alone; the small ones share blocks,
+        more than one of them."""
+        blocks = []
+        sq_dists = quantizer.sq_dists
+
+        def spy(pts, cands):
+            blocks.append((len(pts), cands.ndim))
+            return sq_dists(pts, cands)
+
+        monkeypatch.setattr(quantizer, "sq_dists", spy)
+        g = np.random.default_rng(9)
+        sizes = [2000] + g.integers(1, 40, 40).tolist()
+        counts = [60] + g.integers(3, 30, 40).tolist()
+        self._check(*_groups(sizes, counts, g))
+        assert blocks[0] == (60, 2)
+        assert sum(1 for _, ndim in blocks if ndim == 3) > 1
+        assert len(blocks) < len(sizes)
+
+    def test_single_point_groups(self):
+        g = np.random.default_rng(10)
+        self._check(*_groups([5, 1, 30, 7, 7], [1, 1, 1, 3, 1], g))
+
+    def test_subnormals(self):
+        """Subnormal points and codewords: squares underflow to zero, so
+        most distances tie and the first codeword wins."""
+        g = np.random.default_rng(11)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        cbs, pts, bounds = _groups([6, 3, 9, 1], [5, 8, 2, 4], g)
+        cbs = [np.round(cb * 1000) * tiny for cb in cbs]
+        pts = np.round(pts * 1000) * tiny
+        self._check(cbs, pts, bounds)
+        cbs[1][:, 0] = 1e-160  # squares just above underflow beside zeros
+        self._check(cbs, pts, bounds)
+
+    @pytest.mark.parametrize("cells", [1, 50, 400])
+    def test_chunked_blocks(self, monkeypatch, cells):
+        """Blocks whose distance matrix is over the chunk bound are searched
+        in row chunks, alone or padded beside others; a padded chunk holds
+        only its own rows' codebooks."""
+        chunks = []
+        sq_dists = quantizer.sq_dists
+
+        def spy(pts, cands):
+            chunks.append((len(pts), cands.shape))
+            return sq_dists(pts, cands)
+
+        monkeypatch.setattr(quantizer, "sq_dists", spy)
+        monkeypatch.setattr(quantizer, "CHUNK_CELLS", cells)
+        g = np.random.default_rng(12)
+        self._check(*_groups([40, 38, 36, 2, 0, 37], [30, 25, 9, 14, 3, 11], g))
+        for n, shape in chunks:
+            v = shape[-2]
+            assert n * v <= max(cells, v)
+            assert len(shape) == 2 or shape[0] == n
+
+    def test_one_codebook_is_nearest(self):
+        g = np.random.default_rng(13)
+        cb, pts = g.normal(0, 1, (25, 2)), g.normal(0, 1, (70, 2))
+        got, want = nearest(cb, pts), nearest_each([cb], pts, (0, 70))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _check_quantize_each(new, old, errs, bounds):
+    """``quantize_each`` over all groups against one quantize per group of
+    the list-backed quantizers: codes and codebooks bit for bit."""
+    codes = quantize_each(new, errs, bounds)
+    for j, (q, o) in enumerate(zip(new, old)):
+        lo, hi = bounds[j], bounds[j + 1]
+        assert codes[lo:hi].tolist() == o.quantize(errs[lo:hi]).tolist()
+        assert q.codebook.tobytes() == o.codebook.tobytes()
+
+
+class TestQuantizeEachMatchesOneQuantizePerGroup:
+    """Quantizing every group with one search and growing only the groups
+    with a point beyond eps gives what one quantizer per group gives, over
+    batches in which some codebooks start empty."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batches(self, seed):
+        g = np.random.default_rng(100 + seed)
+        m = int(g.integers(1, 10))
+        eps = float(g.choice([0.05, 0.3, 1.0]))
+        new = [IncrementalQuantizer(eps, seed=7 * j) for j in range(m)]
+        old = [_ListQuantizer(eps, seed=7 * j) for j in range(m)]
+        for _ in range(6):
+            counts = g.integers(1, 50, m)
+            errs = g.normal(0, 1, (counts.sum(), 2)) * g.choice([0.1, 1, 3], (counts.sum(), 1))
+            _check_quantize_each(new, old, errs, np.r_[0, np.cumsum(counts)])
+
+    def test_duplicate_errors_and_single_points(self):
+        g = np.random.default_rng(14)
+        batch = np.repeat(np.round(g.normal(0, 1, (6, 2)), 1), 3, axis=0)
+        errs = np.vstack([batch, batch[:1], batch[::-1], batch[2:3]])
+        bounds = np.array([0, 18, 19, 37, 38])
+        new = [IncrementalQuantizer(1e-9, seed=j) for j in range(4)]
+        old = [_ListQuantizer(1e-9, seed=j) for j in range(4)]
+        for _ in range(2):
+            _check_quantize_each(new, old, errs, bounds)
+
+    def test_quantize_is_the_one_group_case(self):
+        g = np.random.default_rng(15)
+        q1, q2 = IncrementalQuantizer(0.2, seed=4), IncrementalQuantizer(0.2, seed=4)
+        for _ in range(4):
+            errs = g.normal(0, 1, (int(g.integers(1, 60)), 2))
+            assert q1.quantize(errs).tolist() == quantize_each([q2], errs, (0, len(errs))).tolist()
+            assert q1.codebook.tobytes() == q2.codebook.tobytes()
 
 
 def _online_budget(pts: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
