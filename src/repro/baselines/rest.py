@@ -67,10 +67,6 @@ class RESTResult:
     def raw_bits(self) -> int:
         return self.n_points * _RAW_BITS
 
-    @property
-    def compression_ratio(self) -> float:
-        return self.raw_bits / max(1, self.compressed_bits)
-
 
 def rest_compress(
     traj: np.ndarray, refset: ReferenceSet, eps: float, *, max_candidates: int = 64

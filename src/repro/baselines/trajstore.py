@@ -36,9 +36,6 @@ class _Leaf:
     pts: list[np.ndarray] = field(default_factory=list)
     children: list["_Leaf"] | None = None
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
-
     def _append(self, i: int, t: int, p: np.ndarray) -> None:
         self.ids.append(i)
         self.ts.append(t)
@@ -75,9 +72,7 @@ class TrajStore:
     def _insert(self, node: _Leaf, i: int, t: int, p: np.ndarray) -> None:
         while node.children is not None:
             node = self._child_for(node, p)
-        node.ids.append(i)
-        node.ts.append(t)
-        node.pts.append(p)
+        node._append(i, t, p)
         if len(node.ids) > self.cell_capacity and node.depth < self.max_depth:
             self._split(node)
 

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro import DEG_TO_M, deviation_deg, traj_runs
+from repro import DEG_TO_M, check_integral, check_step, deviation_deg, traj_runs
 from repro.core.cqc import CQCCoder
 from repro.core.epq import EPQEngine
 from repro.core.partitioning import (
@@ -188,10 +188,6 @@ class Summary:
         if self.cqc is not None:
             bits += self.n_points * self.cqc.code_bits
         return int(bits)
-
-    def compression_ratio(self) -> float:
-        """raw bits (2 x float64 per point) / summary bits."""
-        return (self.n_points * 2 * 64) / max(1, self.summary_bits())
 
     # ---------------- reconstruction access ----------------
     def _path_index(self) -> tuple[pd.DataFrame, np.ndarray, np.ndarray, np.ndarray]:
@@ -333,16 +329,14 @@ class Encoder:
         key of this step's coefficients), code, codebook reconstruction,
         final reconstruction and CQC code (-1 without CQC).
 
-        Raises ``ValueError``, with no state changed, for an id not in
-        ``traj_ids``, an id twice in ``ids`` or a ``t`` not after the
-        previous push's."""
-        if self.t is not None and t <= self.t:
-            raise ValueError(f"t={t} is not after the previous push's t={self.t}")
-        rows = self.rows_of(ids)
-        srt = np.sort(rows)
-        dup = srt[1:] == srt[:-1]
-        if dup.any():
-            raise ValueError(f"trajectory id {self.traj_ids[srt[1:][dup][0]]} pushed twice")
+        Raises ``ValueError``, with no state changed, for what
+        ``check_step`` rejects (a ``t`` not after the previous push's, an
+        empty step, ids that are not whole numbers or given twice, an
+        ``xy`` that is not a finite ``(len(ids), 2)`` array) and for an id
+        not in ``traj_ids``."""
+        xy = np.asarray(xy, dtype=np.float64)
+        # xy's columns are two of len(ids) values only for a (len(ids), 2) xy
+        rows = self.rows_of(check_step(t, self.t, ids, *np.atleast_1d(xy).T)[0])
         self.t = t
         return self.code(t, rows, xy, self.assign(rows, xy))
 
@@ -547,8 +541,8 @@ def _validate(
             f"non-finite x/y in {int(bad.sum())} rows "
             "(one NaN would poison the shared coefficient fit)"
         )
-    _check_integral(points["t"], "t")
-    _check_integral(points["traj_id"], "traj_id")
+    check_integral(points["t"].to_numpy(), "t")
+    check_integral(points["traj_id"].to_numpy(), "traj_id")
     dup = points.duplicated(["traj_id", "t"])
     if dup.any():
         raise ValueError(f"duplicate (traj_id, t) in {int(dup.sum())} rows")
@@ -583,24 +577,8 @@ def _is_count(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
 
 
-def _check_integral(col: pd.Series, name: str) -> None:
-    """Reject a key column that is not integer-valued: the build would drop
-    rows whose t is NaN, and truncate a fractional t onto another step."""
-    v = col.to_numpy()
-    if v.dtype.kind in "iu":
-        return
-    if v.dtype.kind != "f":
-        raise ValueError(f"non-integer {name}: dtype {v.dtype}")
-    finite = np.isfinite(v)
-    if not finite.all():
-        raise ValueError(f"non-finite {name} in {int((~finite).sum())} rows")
-    bad = v != np.floor(v)
-    if bad.any():
-        raise ValueError(f"non-integer {name} in {int(bad.sum())} rows")
-
-
 def _check_traj_id(traj_id) -> int:
-    """A trajectory id as an int; rejects what ``_check_integral`` rejects
+    """A trajectory id as an int; rejects what ``check_integral`` rejects
     in a ``traj_id`` column (a fractional id would read another path)."""
     if isinstance(traj_id, (int, np.integer)) and not isinstance(traj_id, bool):
         return int(traj_id)

@@ -32,9 +32,10 @@ point while ``sx`` and ``sy`` are at most 2^51; a PI whose grid is finer
 than that, or whose rectangles need more than 2^63 - 1 keys, is refused
 with ``ValueError``.
 
-The same PI object indexes later timestamps of its period (``add_points``)
--- that is how TPI reuses structure -- and takes extra rectangles for
-uncovered points (``add_rects``), whose keys are numbered on from the last.
+The same PI object indexes later timestamps of its period (``add_points``,
+once per timestamp) -- that is how TPI reuses structure -- and takes extra
+rectangles for uncovered points (``add_rects``), whose keys are numbered on
+from the last.
 """
 from __future__ import annotations
 
@@ -75,26 +76,6 @@ def _columns(keys: np.ndarray, ids: np.ndarray) -> _Columns:
     for i in np.flatnonzero(np.diff(offs) > 1).tolist():
         encs[int(cell_keys[i])] = encode_ids(ids[offs[i] : offs[i + 1]])
     return _Columns(cell_keys, offs, ids, encs)
-
-
-def _merge(a: _Columns, b: _Columns) -> _Columns:
-    """``a``'s cells with ``b``'s added; ``b``'s list replaces ``a``'s in a
-    cell both hold."""
-    at = np.minimum(np.searchsorted(b.keys, a.keys), len(b.keys) - 1)
-    keep = b.keys[at] != a.keys
-    keys = np.concatenate([a.keys[keep], b.keys])
-    starts = np.concatenate([a.offs[:-1][keep], b.offs[:-1] + len(a.ids)])
-    counts = np.concatenate([np.diff(a.offs)[keep], np.diff(b.offs)])
-    order = np.argsort(keys, kind="stable")
-    keys, starts, counts = keys[order], starts[order], counts[order]
-    offs = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offs[1:])
-    src = np.repeat(starts - offs[:-1], counts) + np.arange(offs[-1])
-    ids = np.concatenate([a.ids, b.ids])[src]
-    replaced = set(a.keys[~keep].tolist())
-    encs = {k: e for k, e in a.encs.items() if k not in replaced}
-    encs.update(b.encs)
-    return _Columns(keys, offs, ids, encs)
 
 
 def _read(at: _Columns, lo: int, hi: int) -> np.ndarray:
@@ -178,7 +159,10 @@ class PI:
         """Index covered points at time ``t``; returns mask of uncovered.
 
         ``ri`` is ``rect_of(xs, ys)`` when the caller has it already. A
-        cell already holding a list at ``t`` gets the new list instead."""
+        timestamp is indexed once: raises ``ValueError``, leaving the PI
+        as it was, for a ``t`` that already holds lists."""
+        if t in self._at:
+            raise ValueError(f"t={t} is already indexed")
         start = time.perf_counter()
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
@@ -191,9 +175,7 @@ class PI:
             cx = ((xs[sel] - self._bounds[ri, 0]) // self.gc).astype(np.int64)
             cy = ((ys[sel] - self._bounds[ri, 1]) // self.gc).astype(np.int64)
             keys = self._base[ri] + cx * self._slots[ri, 1] + cy
-            new = _columns(keys, np.asarray(ids)[sel].astype(np.int64))
-            old = self._at.get(t)
-            self._at[t] = new if old is None else _merge(old, new)
+            self._at[t] = _columns(keys, np.asarray(ids)[sel].astype(np.int64))
         self.build_seconds += time.perf_counter() - start
         return ~covered
 

@@ -6,7 +6,8 @@ compared against the densities at the period start: if the average
 dropping rate (ADR) exceeds eps_d the current period closes and a fresh PI
 is built ("Re-build"); otherwise the points are appended and, if some fall
 outside every rectangle, Alg. 3's rectangles over just those points are
-grafted onto the current PI first ("Insertion"). Every push indexes its
+grafted onto the current PI first ("Insertion"). Timesteps come in
+increasing t, each once (``repro.check_step``), and every push indexes its
 timestep with one ``PI.add_points``.
 """
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import check_step
 from repro.index.pi import PI, build_pi, build_rects
 
 
@@ -60,6 +62,7 @@ class TPI:
     n_insertions: int = 0
     build_seconds: float = 0.0
     _base_density: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    t: int | None = field(default=None, init=False)  # the last successful push's t
 
     @property
     def current(self) -> Period | None:
@@ -73,80 +76,56 @@ class TPI:
         """Index the points at time ``t``. Returns the action taken:
         'initial', 're-build', 'insertion' or 'append'.
 
-        Raises ``ValueError``, leaving the index as it was, for an empty
-        timestep, ``ids``/``xs``/``ys`` of different lengths, an id that is
-        not a whole number, a non-finite coordinate, an id given twice or a
-        ``t`` before the current period's start (periods stay disjoint and
-        in time order, which ``period_for`` relies on)."""
+        Raises ``ValueError``, leaving the index as it was, for what
+        ``check_step`` rejects: a ``t`` not after the last successful
+        push's (so a t is indexed once, and periods stay disjoint and in
+        time order, which ``period_for`` relies on), an empty step, ids
+        that are not whole numbers or given twice, and ``xs``/``ys`` that
+        are not one finite position per id."""
         start = time.perf_counter()
-        ids = np.asarray(ids)
-        if ids.dtype.kind not in "iu":
-            if ids.dtype.kind != "f":
-                raise ValueError(f"non-integer ids at t={t}: dtype {ids.dtype}")
-            # a fractional id would be truncated onto another trajectory
-            bad = ~np.isfinite(ids) | (ids != np.floor(ids))
-            if bad.any():
-                raise ValueError(
-                    f"non-integer ids for {int(bad.sum())} points at t={t}"
-                )
-        ids = ids.astype(np.int64, copy=False)
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        if len(ids) == 0:
-            raise ValueError(f"empty timestep: TPI.push needs points at t={t}")
-        if self.current is not None and t < self.current.ts:
-            raise ValueError(
-                f"t={t} precedes the current period's start {self.current.ts}"
-            )
-        if not len(ids) == len(xs) == len(ys):
-            raise ValueError(
-                f"ids, xs and ys differ in length at t={t}: "
-                f"{len(ids)}, {len(xs)}, {len(ys)}"
-            )
-        bad = ~(np.isfinite(xs) & np.isfinite(ys))
-        if bad.any():
-            raise ValueError(f"non-finite x/y for {int(bad.sum())} points at t={t}")
-        srt = np.sort(ids)
-        dup = srt[1:] == srt[:-1]
-        if dup.any():
-            raise ValueError(
-                f"duplicate ids at t={t}: {np.unique(srt[1:][dup]).tolist()[:5]}"
-            )
+        ids, xs, ys = check_step(t, self.t, ids, xs, ys)
         try:
-            if self.current is None:
-                self._open_period(t, ids, xs, ys)
-                return "initial"
-            pi = self.current.pi
-            ri = pi.rect_of(xs, ys)
-            covered = ri >= 0
-            counts = np.bincount(ri[covered], minlength=len(pi.rects))
-            d_now = counts / pi.rect_sizes()
-            if adr(d_now, self._base_density, self.eps_c) > self.eps_d:
-                self.current.te = t - 1
-                self.n_rebuilds += 1
-                self._open_period(t, ids, xs, ys)
-                return "re-build"
-            action = "append"
-            if not covered.all():
-                uncov = ~covered
-                rects, new_ri = build_rects(
-                    t, xs[uncov], ys[uncov], eps_s=self.eps_s, seed=self.seed + t
-                )
-                n_old = len(pi.rects)
-                pi.add_rects(rects)
-                ri[uncov] = new_ri + n_old
-                # inserted rectangles join the baseline so later ADR checks
-                # see them (their baseline density is their density now)
-                counts = np.bincount(new_ri, minlength=len(rects))
-                self._base_density = np.concatenate(
-                    [self._base_density, counts / pi.rect_sizes()[n_old:]]
-                )
-                self.n_insertions += 1
-                action = "insertion"
-            pi.add_points(t, ids, xs, ys, ri=ri)
-            return action
+            action = self._index(t, ids, xs, ys)
         finally:
             self.build_seconds += time.perf_counter() - start
+        self.t = t
+        return action
+
+    def _index(self, t: int, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> str:
+        """``push``'s work on a checked timestep; returns its action."""
+        if self.current is None:
+            self._open_period(t, ids, xs, ys)
+            return "initial"
+        pi = self.current.pi
+        ri = pi.rect_of(xs, ys)
+        covered = ri >= 0
+        counts = np.bincount(ri[covered], minlength=len(pi.rects))
+        d_now = counts / pi.rect_sizes()
+        if adr(d_now, self._base_density, self.eps_c) > self.eps_d:
+            closed = self.current  # closed once the new period is built
+            self._open_period(t, ids, xs, ys)
+            closed.te = t - 1
+            self.n_rebuilds += 1
+            return "re-build"
+        action = "append"
+        if not covered.all():
+            uncov = ~covered
+            rects, new_ri = build_rects(
+                t, xs[uncov], ys[uncov], eps_s=self.eps_s, seed=self.seed + t
+            )
+            n_old = len(pi.rects)
+            pi.add_rects(rects)
+            ri[uncov] = new_ri + n_old
+            # inserted rectangles join the baseline so later ADR checks
+            # see them (their baseline density is their density now)
+            counts = np.bincount(new_ri, minlength=len(rects))
+            self._base_density = np.concatenate(
+                [self._base_density, counts / pi.rect_sizes()[n_old:]]
+            )
+            self.n_insertions += 1
+            action = "insertion"
+        pi.add_points(t, ids, xs, ys, ri=ri)
+        return action
 
     def _open_period(self, t: int, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray):
         pi = build_pi(t, ids, xs, ys, eps_s=self.eps_s, gc=self.gc, seed=self.seed + t)

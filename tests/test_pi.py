@@ -332,35 +332,25 @@ class TestColumnStore:
         view.clear()
         assert pi.cells and pi.cells is not pi.cells
 
-    def test_add_points_twice_at_one_t_replaces_lists(self, pi):
+    def test_add_points_at_an_indexed_t_raises(self, pi):
+        """A timestamp is indexed once: a second ``add_points`` at it is
+        refused and the PI keeps the lists it held."""
         ids, xs, ys = _frame()
-        g = np.random.default_rng(8)
-        later = _frame(seed=5, n=150, spread=0.5)
-        batches = [
-            (1, ids, xs, ys),
-            (1, later[0] + 500, later[1], later[2]),
-            (1, g.integers(900, 905, 60), xs[:60], ys[:60]),  # same cells again
-        ]
-        for t, b_ids, b_xs, b_ys in batches[1:]:
-            pi.add_points(t, b_ids, b_xs, b_ys)
-        want = _loop_cells(pi, batches)
-        first = _loop_buckets(pi, ids, xs, ys)
-        assert any(want[k][1].n_ids != len(v) for k, v in first.items())  # replaced
-        assert any(want[k][1] == encode_ids(v) for k, v in first.items())  # kept
+        want = _loop_cells(pi, [(1, ids, xs, ys)])
+        with pytest.raises(ValueError, match="t=1 is already indexed"):
+            pi.add_points(1, ids[:60] + 500, xs[:60], ys[:60])
         self._check(pi, want)
 
-    def test_add_rects_into_a_timestamp_with_entries(self, pi):
-        """Lists indexed under added rectangles at timestamps that already
-        hold entries are the lists a separate PI over those rectangles
-        holds, at keys numbered on from the earlier rectangles'."""
-        ids, xs, ys = _frame()
-        pi.add_points(2, ids[:50], xs[:50], ys[:50])
+    def test_add_rects_lists_match_a_separate_pi(self, pi):
+        """Lists indexed under added rectangles are the lists a separate PI
+        over those rectangles holds, at keys numbered on from the earlier
+        rectangles'."""
         g = np.random.default_rng(2)
         oxs, oys = g.uniform(50.0, 52.0, 80), g.uniform(50.0, 51.0, 80)
         oids = np.r_[np.arange(1000, 1040), np.arange(1000, 1040)]  # repeats
-        rects, _ = build_rects(1, oxs, oys, eps_s=1.0, seed=1)
+        rects, _ = build_rects(2, oxs, oys, eps_s=1.0, seed=1)
         other = PI(gc=0.25, rects=list(rects))
-        batches = [(1, oids, oxs, oys), (2, oids[:30] + 1, oxs[:30], oys[:30])]
+        batches = [(2, oids, oxs, oys), (3, oids[:30] + 1, oxs[:30], oys[:30])]
         for t, b_ids, b_xs, b_ys in batches:
             other.add_points(t, b_ids, b_xs, b_ys)
         off = len(pi.rects)
@@ -371,7 +361,7 @@ class TestColumnStore:
         for t, b_ids, b_xs, b_ys in batches:
             assert not pi.add_points(t, b_ids, b_xs, b_ys).any()
         self._check(pi, {**before, **shifted})
-        assert 1000 in pi.query(oxs[0], oys[0], 1)
+        assert 1000 in pi.query(oxs[0], oys[0], 2)
 
     def test_keys_at_the_largest_grid(self):
         """Rectangles of 2^51 cells on one axis (the most ``//`` floors

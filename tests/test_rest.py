@@ -43,7 +43,7 @@ class TestCompress:
         rs = ReferenceSet.build([_traj(7, start=(10, 10))], cell=0.01)
         res = rest_compress(tr, rs, eps=1e-6)
         assert res.n_raw == len(tr)
-        assert res.compression_ratio <= 1.0 + 1e-9
+        assert res.compressed_bits >= res.raw_bits
         assert np.allclose(res.recon, tr)
 
     def test_noisy_copy_matches_within_eps(self):
@@ -68,9 +68,10 @@ class TestCompress:
         tr = _traj(11, n=60)
         rs_good = ReferenceSet.build([tr], cell=0.01)
         rs_bad = ReferenceSet.build([_traj(12, start=(5, 5))], cell=0.01)
-        good = rest_compress(tr, rs_good, eps=1e-9).compression_ratio
-        bad = rest_compress(tr, rs_bad, eps=1e-9).compression_ratio
-        assert good > bad
+        good = rest_compress(tr, rs_good, eps=1e-9)
+        bad = rest_compress(tr, rs_bad, eps=1e-9)
+        assert good.raw_bits == bad.raw_bits
+        assert good.compressed_bits < bad.compressed_bits
 
     def test_counts_add_up(self):
         tr = _traj(13)

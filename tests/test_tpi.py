@@ -8,7 +8,8 @@ import pytest
 
 from repro.harness.config import BENCH, QUICK
 from repro.index import pi as pi_module
-from repro.index.pi import PI, _Columns, _grid_sizes, _key_ranges, _merge, build_pi
+from repro.index.idcodec import decode_ids
+from repro.index.pi import PI, _Columns, _grid_sizes, _key_ranges, build_pi
 from repro.index.rectangles import Rect
 from repro.index.tpi import TPI, Period, adr, build_tpi_from_points
 from tests.test_golden_index import tpi_digest
@@ -245,15 +246,15 @@ class TestPushValidation:
         ids, xs, ys = _step(_drift_points(n_steps=3), 3)
         ids = ids.copy()
         ids[5] = ids[2]
-        self._check_rejected(r"duplicate ids at t=4: \[2\]", ids, xs, ys)
+        self._check_rejected("trajectory id 2 pushed twice at t=4", ids, xs, ys)
 
     @pytest.mark.parametrize(
         "bad_ids, message",
         [
-            ([1.5, 2.7], "non-integer ids for 2 points at t=4"),
-            ([2.5, 2.7], "non-integer ids for 2 points at t=4"),
-            ([np.nan, 2.0], "non-integer ids for 1 points at t=4"),
-            ([np.inf, 1.0], "non-integer ids for 1 points at t=4"),
+            ([1.5, 2.7], "non-integer ids at t=4 in 2 rows"),
+            ([2.5, 2.7], "non-integer ids at t=4 in 2 rows"),
+            ([np.nan, 2.0], "non-finite ids at t=4 in 1 rows"),
+            ([np.inf, 1.0], "non-finite ids at t=4 in 1 rows"),
         ],
     )
     def test_non_integer_ids(self, bad_ids, message):
@@ -281,16 +282,51 @@ class TestPushValidation:
         time order, where ``period_for``'s bisection cannot find it."""
         pts, tpi = self._index()
         before = self._state(tpi)
-        with pytest.raises(ValueError, match="t=0 precedes the current period's start 1"):
+        with pytest.raises(ValueError, match="t=0 is not after the previous push's t=3"):
             tpi.push(0, *_step(pts, 3))
         assert self._state(tpi) == before
-        assert tpi.push(1, *_step(pts, 1)) == "append"  # at the start is fine
+        assert tpi.push(4, *_step(pts, 3)) == "append"
+
+    @pytest.mark.parametrize("t", [3, 2])
+    def test_time_already_indexed(self, t):
+        """Before the check a same-t push went through as 'append'."""
+        pts, tpi = self._index()
+        before = self._state(tpi)
+        with pytest.raises(ValueError, match=f"t={t} is not after the previous push's t=3"):
+            tpi.push(t, *_step(pts, 3))
+        assert self._state(tpi) == before and tpi.t == 3
+        assert tpi.push(4, *_step(pts, 3)) == "append"
+
+    def test_repush_leaves_no_stale_entry(self):
+        """Before the check, pushing t=3 again with trajectory 0 moved kept
+        its first t=3 entry beside the new one: the merge replaced only
+        the cells the second push touched, so trajectory 0 was listed in
+        two cells at t=3 and still found at its old place."""
+        pts = _drift_points(n_steps=3)
+        pts.loc[(pts.x < 0.25) & (pts.y < 0.25), "x"] += 0.3  # 0's cell to itself
+        pts.loc[pts.traj_id == 0, ["x", "y"]] = 0.05
+        tpi = TPI(eps_d=0.9, eps_c=0.9, eps_s=1.0, gc=0.2)
+        for t in (1, 2, 3):
+            tpi.push(t, *_step(pts, t))
+        ids, xs, ys = _step(pts, 3)
+        xs, ys = xs.copy(), ys.copy()
+        xs[ids == 0], ys[ids == 0] = 0.5, 0.5
+        with pytest.raises(ValueError, match="t=3 is not after"):
+            tpi.push(3, ids, xs, ys)
+        cells_of_0 = [
+            key for key, per_t in tpi.current.pi.cells.items()
+            if 3 in per_t and 0 in decode_ids(per_t[3])
+        ]
+        assert len(cells_of_0) == 1
+        assert 0 in tpi.query(0.05, 0.05, 3)
+        assert 0 not in tpi.query(0.5, 0.5, 3)
 
     def test_length_mismatch(self):
         """Before the check numpy raised from a concatenate deep inside."""
         ids, xs, ys = _step(_drift_points(n_steps=3), 3)
         self._check_rejected(
-            "differ in length at t=4: 30, 29, 30", ids, xs[:-1], ys
+            r"x/y at t=4 do not give one position per id: ids of shape \(30,\), "
+            r"coordinates of shapes \[\(29,\), \(30,\)\]", ids, xs[:-1], ys
         )
 
 
@@ -311,11 +347,10 @@ class TestPeriodFor:
     def test_matches_scan_on_pushed_periods(self):
         pts = _drift_points(n_steps=30, jump_at=6)
         pts.loc[pts.t >= 15, ["x", "y"]] -= 20.0
+        pts.loc[pts.t >= 21, ["x", "y"]] += 40.0
         tpi = TPI(eps_d=0.5, eps_c=0.5, eps_s=1.0, gc=0.2)
         for t in range(1, 31):
             tpi.push(t, *_step(pts, t))
-            if t == 20:
-                tpi.push(t, *_step(pts, 3))  # a re-build at the same t: empty period
         assert tpi.n_periods >= 4
         for closed in (False, True):
             if closed:
@@ -417,6 +452,26 @@ def _extend(pi, other):
         )
         old = pi._at.get(t)
         pi._at[t] = moved if old is None else _merge(old, moved)
+
+
+def _merge(a, b):
+    """The earlier ``PI`` merge of two timestamps' columns: ``a``'s cells
+    with ``b``'s added, ``b``'s list replacing ``a``'s in a cell both hold."""
+    at = np.minimum(np.searchsorted(b.keys, a.keys), len(b.keys) - 1)
+    keep = b.keys[at] != a.keys
+    keys = np.concatenate([a.keys[keep], b.keys])
+    starts = np.concatenate([a.offs[:-1][keep], b.offs[:-1] + len(a.ids)])
+    counts = np.concatenate([np.diff(a.offs)[keep], np.diff(b.offs)])
+    order = np.argsort(keys, kind="stable")
+    keys, starts, counts = keys[order], starts[order], counts[order]
+    offs = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offs[1:])
+    src = np.repeat(starts - offs[:-1], counts) + np.arange(offs[-1])
+    ids = np.concatenate([a.ids, b.ids])[src]
+    replaced = set(a.keys[~keep].tolist())
+    encs = {k: e for k, e in a.encs.items() if k not in replaced}
+    encs.update(b.encs)
+    return _Columns(keys, offs, ids, encs)
 
 
 class _ExtendTPI(TPI):
@@ -524,23 +579,36 @@ class TestInsertionMatchesExtend:
         raises ``RuntimeError`` before anything is grafted; once the
         rectangles cover again, the index goes on as if the failed push had
         never come."""
-        points = _random_stream(0)
-        kw = dict(eps_d=0.9, eps_c=0.5, eps_s=0.3, gc=0.2, seed=0)
-        t = 1 + _replay(TPI(**kw), points).index("insertion")
-        tpi, ref = TPI(**kw), TPI(**kw)
-        _replay(tpi, points[points.t < t])
-        _replay(ref, points[points.t < t])
-        f = points[points.t == t]
-        step = (t, f.traj_id.to_numpy(), f.x.to_numpy(), f.y.to_numpy())
-        real = pi_module.mbrs
-        monkeypatch.setattr(pi_module, "mbrs", lambda xy, labels: real(xy, labels)[:-1])
-        before = _index_state(tpi)
-        with pytest.raises(RuntimeError, match=f"t={t}"):
-            tpi.push(*step)
-        assert _index_state(tpi) == before
-        monkeypatch.setattr(pi_module, "mbrs", real)
-        assert tpi.push(*step) == ref.push(*step) == "insertion"
-        assert _index_state(tpi) == _index_state(ref)
+        _check_failed_push_leaves_index(monkeypatch, "insertion")
+
+    def test_uncovered_point_raises_before_the_rebuild(self, monkeypatch):
+        """Likewise for a re-build: before, the failed push had already
+        closed the current period and counted a re-build, and its retry
+        counted a second one."""
+        _check_failed_push_leaves_index(monkeypatch, "re-build")
+
+
+def _check_failed_push_leaves_index(monkeypatch, action):
+    """The first push of ``_random_stream(0)`` that takes ``action`` raises
+    when its rectangles leave a point uncovered, leaving the index as it
+    was, and its retry matches an index that never saw it."""
+    points = _random_stream(0)
+    kw = dict(eps_d=0.9, eps_c=0.5, eps_s=0.3, gc=0.2, seed=0)
+    t = 1 + _replay(TPI(**kw), points).index(action)
+    tpi, ref = TPI(**kw), TPI(**kw)
+    _replay(tpi, points[points.t < t])
+    _replay(ref, points[points.t < t])
+    f = points[points.t == t]
+    step = (t, f.traj_id.to_numpy(), f.x.to_numpy(), f.y.to_numpy())
+    real = pi_module.mbrs
+    monkeypatch.setattr(pi_module, "mbrs", lambda xy, labels: real(xy, labels)[:-1])
+    before = _index_state(tpi)
+    with pytest.raises(RuntimeError, match=f"t={t}"):
+        tpi.push(*step)
+    assert _index_state(tpi) == before and tpi.t == t - 1
+    monkeypatch.setattr(pi_module, "mbrs", real)
+    assert tpi.push(*step) == ref.push(*step) == action
+    assert _index_state(tpi) == _index_state(ref)
 
 
 def test_point_in_an_insertion_overlap_is_found_under_the_host_rectangle():
